@@ -8,6 +8,8 @@ file.  Exit codes: 0 success, 2 configuration error, 3 runtime abort.
 from __future__ import annotations
 
 import argparse
+import functools
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +35,18 @@ _DEFAULT_PLOTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads "-5e-05" and "-.5" as negative numbers, not as option flags.
+
+    The stock pattern only knows plain decimals, so "--b -5e-05" would fail
+    with "expected one argument".  Subparsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--format", default="csv",
@@ -50,8 +64,10 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(","))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser, built once per process; parse_args leaves it as is."""
+    parser = _Parser(
         prog="spectralfd",
         description="Denominator-function discretization experiments",
     )

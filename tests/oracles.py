@@ -2,7 +2,7 @@
 
 Everything here is deliberately built from primitives unrelated to the
 implementation paths it checks: libm special functions, dense matrix
-application, and bisection.
+application, a naive O(M^2) discrete Fourier transform, and bisection.
 """
 
 from __future__ import annotations
@@ -41,6 +41,35 @@ def dense_step_matrix(m: int, dx: float, dt: float, a: float, b: float,
         lap[0, :] = 0.0
         lap[-1, :] = 0.0
     return np.eye(m) + dt * (a * lap / dx**2 + b * np.eye(m))
+
+
+def naive_dft(u: np.ndarray) -> np.ndarray:
+    """Naive forward transform, C_j = sum_m u_m exp(-2 pi i j m / M)."""
+    m = len(u)
+    idx = np.arange(m)
+    return np.array([np.sum(u * np.exp(-2j * np.pi * j * idx / m))
+                     for j in range(m)])
+
+
+def naive_idft(c: np.ndarray) -> np.ndarray:
+    """Naive inverse transform (1/M normalization)."""
+    m = len(c)
+    idx = np.arange(m)
+    return np.array([np.sum(c * np.exp(2j * np.pi * idx * n / m)) / m
+                     for n in range(m)])
+
+
+def modal_frames(u0: np.ndarray, length: float, a: float, b: float,
+                 times: np.ndarray) -> np.ndarray:
+    """Exact evolution of u_t = a u_xx + b u on a periodic grid of length L,
+    one Fourier mode at a time: index j carries the signed wavenumber
+    2 pi j / L for j <= M/2 and 2 pi (j - M) / L above."""
+    m = len(u0)
+    signed = [j if j <= m // 2 else j - m for j in range(m)]
+    k = 2.0 * np.pi * np.array(signed) / length
+    spectrum = naive_dft(u0)
+    return np.array([naive_idft(spectrum * np.exp((b - a * k * k) * t)).real
+                     for t in times])
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-14,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -17,7 +18,7 @@ from spectralfd.harness import (
     parse_config,
     run_experiment,
 )
-from spectralfd.harness.cli import main
+from spectralfd.harness.cli import _build_parser, main
 from spectralfd.harness.report import UnknownColumnError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -50,6 +51,12 @@ def csv_without_timestamp(path) -> str:
     lines = Path(path).read_text().splitlines()
     return "\n".join(line for line in lines
                      if not line.startswith("# generated:"))
+
+
+def csv_rows(path) -> list[dict]:
+    lines = [line for line in Path(path).read_text().splitlines()
+             if not line.startswith("#")]
+    return list(csv.DictReader(lines))
 
 
 class TestParseConfig:
@@ -309,3 +316,73 @@ class TestCli:
         )
         assert main(["run", str(config_file), "--out", str(tmp_path)]) == 3
         assert "runtime abort" in capsys.readouterr().err
+
+    def test_negative_exponent_floats_are_values(self, tmp_path, capsys):
+        assert main(["pde", "--b", "-5e-05", "--out", str(tmp_path)]) == 0
+        assert main(["laplace", "--b", "-1e-3", "--out", str(tmp_path)]) == 0
+        # read as a value, then rejected by config validation
+        assert main(["pde", "--dt", "-1e-3", "--out", str(tmp_path)]) == 2
+        assert "dt: entries must be positive" in capsys.readouterr().err
+
+    def test_modal_grid_above_former_cap(self, tmp_path):
+        assert main(["pde", "--m-points", "8192", "--methods",
+                     "spectral_modal", "--out", str(tmp_path)]) == 0
+        rows = csv_rows(tmp_path / "pde_compare.csv")
+        assert len(rows) == 3
+        assert all(float(row["max_nodal_error"]) <= 1e-10 for row in rows)
+
+    def test_too_few_points_exit_code(self, tmp_path, capsys):
+        assert main(["pde", "--m-points", "2", "--out", str(tmp_path)]) == 2
+        assert "m_points: must be >= 3" in capsys.readouterr().err
+
+    def test_infinite_t_final_exit_code(self, tmp_path, capsys):
+        assert main(["pde", "--t-final", "inf", "--out", str(tmp_path)]) == 2
+        assert "t_final: must be finite" in capsys.readouterr().err
+        # finite entries whose ratio overflows
+        assert main(["pde", "--t-final", "1e300", "--dt", "1e-10",
+                     "--out", str(tmp_path)]) == 2
+        assert "does not divide t_final" in capsys.readouterr().err
+
+    def test_infinite_laplace_mode_exit_code(self, tmp_path, capsys):
+        assert main(["laplace", "--s", "inf", "--out", str(tmp_path)]) == 2
+        assert "s: must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "laplace_bvp.csv").exists()
+
+    def test_infinite_integer_in_config_file(self, tmp_path, capsys):
+        config_file = tmp_path / "inf.cfg"
+        config_file.write_text(GOLDEN_CONFIGS["laplace_bvp"]
+                               .replace("levels = 3", "levels = inf"))
+        assert main(["run", str(config_file), "--out", str(tmp_path)]) == 2
+        assert "levels: expected an integer" in capsys.readouterr().err
+
+    def test_reused_parser_matches_fresh_parser(self, tmp_path, capsys):
+        calls = [
+            ["decay", "--lambda", "2.0", "--t-final", "1.0", "--h0", "0.125",
+             "--levels", "4"],
+            ["pde", "--b", "-0.25", "--m-points", "16", "--dt", "0.5"],
+            ["pde", "--b"],  # argparse error: exit 2
+            ["laplace", "--s", "3.0", "--levels", "2"],
+            ["pde", "--m-points", "16", "--dt", "0.5"],
+            ["decay", "--lambda", "1.0", "--t-final", "1.0", "--h0", "0.25",
+             "--levels", "4", "--schemes", "forward_euler"],
+        ]
+
+        def run_all(fresh: bool) -> list:
+            results = []
+            for i, argv in enumerate(calls):
+                if fresh:
+                    _build_parser.cache_clear()
+                out = tmp_path / f"{fresh}-{i}"
+                try:
+                    code = main(argv + ["--out", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+                csvs = sorted(out.glob("*.csv")) if out.exists() else []
+                results.append((code, [csv_without_timestamp(path)
+                                       for path in csvs]))
+            return results
+
+        reused = run_all(fresh=False)
+        assert _build_parser() is _build_parser()
+        assert reused == run_all(fresh=True)
+        assert [code for code, _ in reused] == [0, 0, 2, 0, 0, 0]

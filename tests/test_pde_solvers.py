@@ -14,8 +14,6 @@ from spectralfd.pde_solvers import (
     Periodic,
     SpectralModal,
     SpectralPhys,
-    _dft,
-    _idft,
     amplification_factor,
     default_spectral_params,
     evolve,
@@ -27,7 +25,7 @@ from spectralfd.pde_solvers import (
     step_spectral,
 )
 
-from oracles import bisect, dense_step_matrix
+from oracles import bisect, dense_step_matrix, modal_frames, naive_dft
 
 
 def periodic_grid(m=64, length=2.0 * math.pi):
@@ -224,15 +222,20 @@ class TestEvolveModal:
         expected = 2.0 * math.exp(0.4 * 0.7 * 3)
         np.testing.assert_allclose(traj.frames[-1], expected, rtol=1e-12)
 
-    def test_realness_residue(self):
-        rng = np.random.RandomState(3)
-        grid = periodic_grid(m=32)
-        ic = rng.standard_normal(32)
-        spectrum = _dft(ic)
-        factors = np.exp((0.5 - grid_wavenumbers(grid) ** 2) * 0.3)
-        complex_frame = _idft(spectrum * factors**4)
-        residue = np.max(np.abs(complex_frame.imag))
-        assert residue <= 1e-12 * np.linalg.norm(complex_frame.real)
+    @pytest.mark.parametrize("m", [3, 4, 5, 32, 33])
+    def test_matches_per_mode_oracle(self, m):
+        # odd and even M; even M carries a Nyquist bin
+        rng = np.random.RandomState(m)
+        length = 2.0 * math.pi
+        grid = periodic_grid(m=m, length=length)
+        ic = rng.standard_normal(m)
+        problem = PDEProblem(a=0.3, b=0.2, initial_condition=ic)
+        traj = evolve_modal(problem, grid, 0.25, 6)
+        expected = modal_frames(ic, length, 0.3, 0.2, traj.times)
+        for frame, exact in zip(traj.frames, expected):
+            err = np.max(np.abs(frame - exact)) / np.max(np.abs(exact))
+            assert err <= 1e-12
+        assert np.array_equal(traj.frames[0], ic)
 
     def test_requires_periodic(self):
         grid = dirichlet_grid(m=17)
@@ -241,17 +244,15 @@ class TestEvolveModal:
         with pytest.raises(ValueError):
             evolve_modal(problem, grid, 0.1, 2)
 
-    def test_transform_size_cap(self):
-        m = 5000
-        grid = Grid1D(x0=0.0, dx=0.001, m_points=m, boundary=Periodic())
-        problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(m))
-        with pytest.raises(ValueError):
-            evolve_modal(problem, grid, 0.1, 1)
-
-    def test_transform_roundtrip(self):
-        rng = np.random.RandomState(5)
-        u = rng.standard_normal(20)
-        np.testing.assert_allclose(_idft(_dft(u)).real, u, atol=1e-12)
+    def test_single_mode_exact_at_large_grid(self):
+        m = 16384
+        grid = periodic_grid(m=m)
+        x = grid.points
+        problem = PDEProblem(a=0.1, b=0.5, initial_condition=np.sin(3.0 * x))
+        traj = evolve_modal(problem, grid, 0.7, 3)
+        exact = math.exp((0.5 - 0.9) * 2.1) * np.sin(3.0 * x)
+        err = np.max(np.abs(traj.frames[-1] - exact)) / np.max(np.abs(exact))
+        assert err <= 1e-10
 
 
 class TestEvolve:
@@ -382,6 +383,16 @@ class TestDefaults:
         assert k == pytest.approx(3.0, rel=1e-12)
         assert s == pytest.approx(1.0 + 0.5 * (math.pi / grid.length) ** 2,
                                   rel=1e-12)
+
+    @pytest.mark.parametrize("m", [4, 5, 32, 33])
+    def test_dominant_index_matches_oracle(self, m):
+        rng = np.random.RandomState(100 + m)
+        grid = periodic_grid(m=m)
+        ic = rng.standard_normal(m)
+        problem = PDEProblem(a=0.5, b=1.0, initial_condition=ic)
+        j = int(np.argmax(np.abs(naive_dft(ic))[: m // 2 + 1]))
+        k, _ = default_spectral_params(problem, grid)
+        assert k == pytest.approx(2.0 * math.pi * j / grid.length, rel=1e-12)
 
 
 class TestFieldTrajectory:
