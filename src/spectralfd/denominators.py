@@ -2,22 +2,21 @@
 
 A denominator function replaces the raw step size in a difference quotient
 so that the resulting scheme reproduces the exact solution of a reference
-sub-equation.  This module collects every family used by the schemes in
-this package:
+sub-equation.  This module holds the denominators the schemes in this
+package use:
 
 * ``phi_nsfd`` / ``psi2_nsfd`` - time and space denominators built from the
   exact reaction and steady-diffusion sub-equations in physical space,
 * ``phi_spectral`` / ``psi2_spectral`` - their transform-space analogues
   carrying the Fourier wave mode k and the Laplace mode s,
 * ``mu_exact_step`` - step measures that make one-step relaxation exact for
-  the stretched-exponential and Mittag-Leffler propagators,
-* ``gallery_phi`` - the classical step-size-limit gallery (h, 1-e^-h,
-  e^h-1, sin h), kept for comparison experiments; sin h may vanish and is
-  therefore flagged rather than trusted.
+  the stretched-exponential and Mittag-Leffler propagators.
 
-All removable singularities (vanishing rate, matched reaction/diffusion,
-matched Laplace mode) are evaluated by short Taylor series so every family
-is continuous in its parameters.  psi-2 families return the squared space
+The explicit PDE stepper in ``pde_solvers`` consumes the phi/psi2 pairs;
+the standard pair (dt, dx**2) needs no function here.  All removable
+singularities (vanishing rate, matched reaction/diffusion, matched Laplace
+mode) are evaluated by short Taylor series so every denominator is
+continuous in its parameters.  The psi2 functions return the squared space
 denominator, which is the quantity the schemes consume; for negative
 ratio arguments the sine turns into the hyperbolic sine, the real analytic
 continuation.
@@ -26,9 +25,7 @@ continuation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Union
 
 from .specfun import MLParams, mittag_leffler
 
@@ -40,19 +37,6 @@ __all__ = [
     "psi2_spectral",
     "ExactStepKind",
     "mu_exact_step",
-    "GalleryVariant",
-    "GalleryDenominator",
-    "gallery_phi",
-    "Standard",
-    "NsfdTime",
-    "NsfdSpace",
-    "SpectralTime",
-    "SpectralSpace",
-    "ConformableExact",
-    "MlExact",
-    "Gallery",
-    "DenominatorSpec",
-    "evaluate_denominator",
 ]
 
 # Below this argument magnitude the closed forms cancel; switch to Taylor.
@@ -157,129 +141,3 @@ def mu_exact_step(kind: ExactStepKind, rate: float, order: float,
         )
     return (1.0 - e_next / e_here) / rate
 
-
-class GalleryVariant(Enum):
-    STEP = "h"
-    ONE_MINUS_EXP_NEG = "one_minus_exp_neg_h"
-    EXP_MINUS_ONE = "exp_h_minus_one"
-    SIN = "sin_h"
-
-
-class GalleryDenominator(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-# sin(h) evaluated at a zero lands within a few ulp of it, never exactly on.
-_DEGENERACY_FLOOR = 1e-14
-
-
-def gallery_phi(variant: GalleryVariant, h: float) -> GalleryDenominator:
-    """Classical denominator gallery; flags (not raises) nonpositive values."""
-    if not (h > 0.0):
-        raise ValueError(f"step must be positive, got {h!r}")
-    if variant is GalleryVariant.STEP:
-        value = h
-    elif variant is GalleryVariant.ONE_MINUS_EXP_NEG:
-        value = -math.expm1(-h)
-    elif variant is GalleryVariant.EXP_MINUS_ONE:
-        value = math.expm1(h)
-    else:
-        value = math.sin(h)
-    degenerate = value <= _DEGENERACY_FLOOR * max(1.0, h)
-    return GalleryDenominator(value=value, degenerate=degenerate)
-
-
-# ---------------------------------------------------------------------------
-# Tagged family: one record per denominator with its physical parameters.
-
-@dataclass(frozen=True)
-class Standard:
-    h: float
-
-    def evaluate(self) -> float:
-        if not (self.h > 0.0):
-            raise ValueError(f"step must be positive, got {self.h!r}")
-        return self.h
-
-
-@dataclass(frozen=True)
-class NsfdTime:
-    dt: float
-    b: float
-
-    def evaluate(self) -> float:
-        return phi_nsfd(self.dt, self.b)
-
-
-@dataclass(frozen=True)
-class NsfdSpace:
-    dx: float
-    r: float
-
-    def evaluate(self) -> float:
-        return psi2_nsfd(self.dx, self.r)
-
-
-@dataclass(frozen=True)
-class SpectralTime:
-    dt: float
-    a: float
-    b: float
-    k: float
-
-    def evaluate(self) -> float:
-        return phi_spectral(self.dt, self.a, self.b, self.k)
-
-
-@dataclass(frozen=True)
-class SpectralSpace:
-    dx: float
-    a: float
-    b: float
-    s: float
-
-    def evaluate(self) -> float:
-        return psi2_spectral(self.dx, self.a, self.b, self.s)
-
-
-@dataclass(frozen=True)
-class ConformableExact:
-    rate: float
-    order: float
-    t_n: float
-    t_np1: float
-
-    def evaluate(self) -> float:
-        return mu_exact_step(ExactStepKind.CONFORMABLE, self.rate, self.order,
-                             self.t_n, self.t_np1)
-
-
-@dataclass(frozen=True)
-class MlExact:
-    rate: float
-    order: float
-    t_n: float
-    t_np1: float
-
-    def evaluate(self) -> float:
-        return mu_exact_step(ExactStepKind.MITTAG_LEFFLER, self.rate,
-                             self.order, self.t_n, self.t_np1)
-
-
-@dataclass(frozen=True)
-class Gallery:
-    variant: GalleryVariant
-    h: float
-
-    def evaluate(self) -> float:
-        return gallery_phi(self.variant, self.h).value
-
-
-DenominatorSpec = Union[Standard, NsfdTime, NsfdSpace, SpectralTime,
-                        SpectralSpace, ConformableExact, MlExact, Gallery]
-
-
-def evaluate_denominator(spec: DenominatorSpec) -> float:
-    """Evaluate any member of the denominator family."""
-    return spec.evaluate()

@@ -52,8 +52,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", default="csv",
                         choices=("csv", "json", "svg"),
                         help="report format (default: csv)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; no randomness in v1")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -139,10 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace):
     command = args.command
     if command == "run":
-        path = Path(args.config_file)
-        if not path.exists():
-            raise ConfigError([])  # caller prints a file message
-        return parse_config(path.read_text())
+        return parse_config(Path(args.config_file).read_text())
 
     def keep(d: dict) -> dict:
         return {k: v for k, v in d.items() if v is not None}
@@ -196,9 +191,6 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
     except ConfigError as exc:
-        if args.command == "run" and not exc.violations:
-            print(f"config file not found: {args.config_file}",
-                  file=sys.stderr)
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
@@ -219,7 +211,8 @@ def main(argv=None) -> int:
             emit_svg(report, _DEFAULT_PLOTS[report.experiment],
                      stem.with_suffix(".svg"))
     except Exception as exc:  # runtime abort: distinct exit code
-        print(f"runtime abort: {exc}", file=sys.stderr)
+        print(f"runtime abort in {config.experiment.value}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     print(f"wrote {stem.with_suffix('.' + args.format)}")
     return 0

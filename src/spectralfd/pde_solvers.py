@@ -1,14 +1,22 @@
 """Solvers for u_t = a*u_xx + b*u on a 1-D grid.
 
-Three explicit stepper families share one shape - new = u + phi * (a * D2 u
-/ psi2 + b * u) with D2 the standard second difference - and differ only in
-their denominators:
+The explicit schemes share one update, ``step``:
 
-* ``step_euler``     - phi = dt, psi2 = dx**2,
-* ``step_nsfd``      - phi and psi2 from the exact physical-space
+    new = u + phi * (a * D2 u / psi2 + b * u)
+
+with D2 the standard second difference.  They differ only in the
+denominator pair (phi, psi2) the solver kind selects:
+
+* ``EulerStd``     - phi = dt, psi2 = dx**2,
+* ``Nsfd``         - phi and psi2 from the exact physical-space
   sub-equations (reaction growth, steady diffusion balance),
-* ``step_spectral``  - phi and psi2 from transform space, carrying a chosen
+* ``SpectralPhys`` - phi and psi2 from transform space, carrying a chosen
   Fourier mode k and Laplace mode s.
+
+With a = 0 the diffusion term drops out for every kind, and psi2 is never
+formed.  ``amplification_factor`` reports the per-step multiplier a kind
+applies to a single spatial mode, the basic stability diagnostic, from the
+same denominator pair.
 
 ``evolve_modal`` instead multiplies every Fourier mode of a periodic frame
 by its exact growth factor exp((b - a*k^2)*t), which makes the evolution
@@ -16,9 +24,7 @@ exact for any step size; the transform is numpy's real FFT, so the frames
 are real by construction and the grid size is not capped.
 ``laplace_mode_solve`` is the transform-space boundary-value companion: a
 tridiagonal solve for one Laplace mode of the solution with homogeneous
-Dirichlet walls.  ``amplification_factor`` reports the per-step multiplier
-any of the families applies to a single spatial mode, the basic stability
-diagnostic.
+Dirichlet walls.
 """
 
 from __future__ import annotations
@@ -44,9 +50,7 @@ __all__ = [
     "SolverKind",
     "FieldTrajectory",
     "SingularSystemError",
-    "step_euler",
-    "step_nsfd",
-    "step_spectral",
+    "step",
     "evolve",
     "evolve_modal",
     "laplace_mode_solve",
@@ -199,37 +203,36 @@ def _as_frame(frame, grid: Grid1D) -> np.ndarray:
     return u
 
 
-def step_euler(problem: PDEProblem, grid: Grid1D, dt: float,
-               frame) -> np.ndarray:
-    """Standard explicit step: denominators dt and dx**2."""
-    u = _as_frame(frame, grid)
-    d2 = _second_difference(u, grid.boundary)
-    new = u + dt * (problem.a * d2 / grid.dx**2 + problem.b * u)
-    return _apply_boundary(new, grid.boundary)
+def _denominators(kind: SolverKind, problem: PDEProblem,
+                  grid: Grid1D) -> tuple[float, float | None]:
+    """The (phi, psi2) pair of an explicit solver kind.
+
+    psi2 is None when a == 0: the diffusion term drops out, and the
+    physical and spectral space denominators are undefined there.
+    """
+    a, b, dx = problem.a, problem.b, grid.dx
+    if isinstance(kind, EulerStd):
+        return kind.dt, dx**2
+    if isinstance(kind, Nsfd):
+        phi = phi_nsfd(kind.dt, b)
+        return phi, psi2_nsfd(dx, b / a) if a > 0.0 else None
+    if isinstance(kind, SpectralPhys):
+        phi = phi_spectral(kind.dt, a, b, kind.k)
+        return phi, psi2_spectral(dx, a, b, kind.s) if a > 0.0 else None
+    raise TypeError(f"unknown explicit solver kind {kind!r}")
 
 
-def step_nsfd(problem: PDEProblem, grid: Grid1D, dt: float,
-              frame) -> np.ndarray:
-    """Nonstandard explicit step: exact sub-equation denominators."""
+def step(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
+         frame) -> np.ndarray:
+    """One explicit step u + phi * (a * D2 u / psi2 + b * u) of any explicit
+    kind; with a == 0 the diffusion term is dropped."""
     u = _as_frame(frame, grid)
-    phi = phi_nsfd(dt, problem.b)
+    phi, psi2 = _denominators(kind, problem, grid)
     if problem.a > 0.0:
-        psi2 = psi2_nsfd(grid.dx, problem.b / problem.a)
-        diffusion = problem.a * _second_difference(u, grid.boundary) / psi2
+        d2 = _second_difference(u, grid.boundary)
+        new = u + phi * (problem.a * d2 / psi2 + problem.b * u)
     else:
-        diffusion = 0.0
-    new = u + phi * (diffusion + problem.b * u)
-    return _apply_boundary(new, grid.boundary)
-
-
-def step_spectral(problem: PDEProblem, grid: Grid1D, dt: float, k: float,
-                  s: float, frame) -> np.ndarray:
-    """Physical-space spectral step with chosen wave mode k and Laplace mode s."""
-    u = _as_frame(frame, grid)
-    phi = phi_spectral(dt, problem.a, problem.b, k)
-    psi2 = psi2_spectral(grid.dx, problem.a, problem.b, s)
-    d2 = _second_difference(u, grid.boundary)
-    new = u + phi * (problem.a * d2 / psi2 + problem.b * u)
+        new = u + phi * (problem.b * u)
     return _apply_boundary(new, grid.boundary)
 
 
@@ -250,14 +253,7 @@ def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
     frames = [u]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_steps):
-            if isinstance(kind, EulerStd):
-                u = step_euler(problem, grid, kind.dt, u)
-            elif isinstance(kind, Nsfd):
-                u = step_nsfd(problem, grid, kind.dt, u)
-            elif isinstance(kind, SpectralPhys):
-                u = step_spectral(problem, grid, kind.dt, kind.k, kind.s, u)
-            else:
-                raise TypeError(f"unknown solver kind {kind!r}")
+            u = step(problem, grid, kind, u)
             if not np.all(np.isfinite(u)):
                 break
             frames.append(u)
@@ -352,22 +348,13 @@ def amplification_factor(kind: SolverKind, problem: PDEProblem, grid: Grid1D,
                          k: float) -> float:
     """Per-step multiplier the solver applies to the spatial mode with
     physical wavenumber k on a periodic grid."""
-    a, b, dx = problem.a, problem.b, grid.dx
-    sin2 = math.sin(k * dx / 2.0) ** 2
-    if isinstance(kind, EulerStd):
-        return 1.0 + kind.dt * (b - 4.0 * a * sin2 / dx**2)
-    if isinstance(kind, Nsfd):
-        phi = phi_nsfd(kind.dt, b)
-        diffusion = 4.0 * a * sin2 / psi2_nsfd(dx, b / a) if a > 0.0 else 0.0
-        return 1.0 + phi * (b - diffusion)
-    if isinstance(kind, SpectralPhys):
-        phi = phi_spectral(kind.dt, a, b, kind.k)
-        diffusion = (4.0 * a * sin2 / psi2_spectral(dx, a, b, kind.s)
-                     if a > 0.0 else 0.0)
-        return 1.0 + phi * (b - diffusion)
+    a, b = problem.a, problem.b
     if isinstance(kind, SpectralModal):
         return math.exp((b - a * k * k) * kind.dt)
-    raise TypeError(f"unknown solver kind {kind!r}")
+    phi, psi2 = _denominators(kind, problem, grid)
+    sin2 = math.sin(k * grid.dx / 2.0) ** 2
+    diffusion = 4.0 * a * sin2 / psi2 if a > 0.0 else 0.0
+    return 1.0 + phi * (b - diffusion)
 
 
 def default_spectral_params(problem: PDEProblem, grid: Grid1D) -> tuple[float, float]:

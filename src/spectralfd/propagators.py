@@ -22,8 +22,6 @@ from .specfun import MLParams, mittag_leffler
 __all__ = [
     "SignatureKind",
     "WaveSignature",
-    "PropagatorFamily",
-    "PropagatorSpec",
     "FitDegenerateError",
     "FitRangeError",
     "local_propagator",
@@ -61,28 +59,6 @@ class WaveSignature:
     c_hat: float
     alpha_hat: float
     fit_residual: float
-
-
-class PropagatorFamily(Enum):
-    LOCAL_EXP = "local_exp"
-    NONLOCAL_ML = "nonlocal_ml"
-
-
-@dataclass(frozen=True)
-class PropagatorSpec:
-    """A propagator family with its rate and fractional order."""
-
-    family: PropagatorFamily
-    rate: float
-    order: float
-
-    def __post_init__(self) -> None:
-        _check_rate_order(self.rate, self.order)
-
-    def evaluate(self, t: float) -> float:
-        if self.family is PropagatorFamily.LOCAL_EXP:
-            return local_propagator(self.rate, self.order, t)
-        return nonlocal_propagator(self.rate, self.order, t)
 
 
 def _check_rate_order(rate: float, order: float) -> None:

@@ -23,11 +23,12 @@ from spectralfd.ode_schemes import (
 from spectralfd.pde_solvers import (
     Dirichlet,
     Grid1D,
+    Nsfd,
     PDEProblem,
     Periodic,
     evolve_modal,
     laplace_mode_solve,
-    step_nsfd,
+    step,
 )
 from spectralfd.propagators import nonlocal_propagator, origin_window, signature_fit
 from spectralfd.specfun import MLParams, mittag_leffler, ml
@@ -117,7 +118,7 @@ def test_criterion_4_nsfd_exact_sub_equations():
     problem = PDEProblem(a=1.0, b=0.7, initial_condition=np.full(m, 3.0))
     worst_const = 0.0
     for dt in (0.1, 1.0, 5.0):
-        stepped = step_nsfd(problem, grid, dt, np.full(m, 3.0))
+        stepped = step(problem, grid, Nsfd(dt=dt), np.full(m, 3.0))
         expected = 3.0 * math.exp(0.7 * dt)
         worst_const = max(worst_const,
                           float(np.max(np.abs(stepped - expected))) / expected)
@@ -130,7 +131,7 @@ def test_criterion_4_nsfd_exact_sub_equations():
         frame = np.sin(g.points)
         steady = PDEProblem(a=1.0, b=1.0, initial_condition=frame)
         for dt in (0.1, 1.0, 2.0):
-            stepped = step_nsfd(steady, g, dt, frame)
+            stepped = step(steady, g, Nsfd(dt=dt), frame)
             worst_steady = max(worst_steady,
                                float(np.max(np.abs(stepped - frame))))
     ok_steady = worst_steady <= 1e-12

@@ -4,19 +4,8 @@ import numpy as np
 import pytest
 
 from spectralfd.denominators import (
-    ConformableExact,
     DegenerateDenominatorError,
     ExactStepKind,
-    Gallery,
-    GalleryVariant,
-    MlExact,
-    NsfdSpace,
-    NsfdTime,
-    SpectralSpace,
-    SpectralTime,
-    Standard,
-    evaluate_denominator,
-    gallery_phi,
     mu_exact_step,
     phi_nsfd,
     phi_spectral,
@@ -153,8 +142,8 @@ class TestLimitConsistency:
                 assert abs(phi_nsfd(h, b) / h - 1.0) <= 10.0 * h
                 for a, k in ((1.0, 2.0), (0.5, 0.0)):
                     assert abs(phi_spectral(h, a, b, k) / h - 1.0) <= 10.0 * h
-            for variant in GalleryVariant:
-                value = gallery_phi(variant, h).value
+            # the classical step-limit denominators 1 - e^-h, e^h - 1, sin h
+            for value in (-math.expm1(-h), math.expm1(h), math.sin(h)):
                 assert abs(value / h - 1.0) <= 10.0 * h
             # order-one exact measure reduces to the step as well
             mu = mu_exact_step(ExactStepKind.CONFORMABLE, 1.0, 1.0, 0.0, h)
@@ -222,63 +211,3 @@ class TestMuExactStep:
             mu_exact_step(ExactStepKind.CONFORMABLE, 0.0, 0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             mu_exact_step(ExactStepKind.CONFORMABLE, 1.0, 1.4, 0.0, 1.0)
-
-
-class TestGallery:
-    def test_identity_variant(self):
-        value, degenerate = gallery_phi(GalleryVariant.STEP, 0.3)
-        assert value == 0.3 and not degenerate
-
-    def test_exp_variants(self):
-        value, degenerate = gallery_phi(GalleryVariant.ONE_MINUS_EXP_NEG, 1.0)
-        assert value == pytest.approx(0.6321205588285577, rel=1e-15)
-        assert not degenerate
-        value, degenerate = gallery_phi(GalleryVariant.EXP_MINUS_ONE, 1.0)
-        assert value == pytest.approx(1.718281828459045, rel=1e-15)
-        assert not degenerate
-
-    def test_sine_degeneracy_flagged(self):
-        value, degenerate = gallery_phi(GalleryVariant.SIN, math.pi)
-        assert abs(value) < 1e-15
-        assert degenerate
-        value, degenerate = gallery_phi(GalleryVariant.SIN, 4.0)
-        assert value < 0.0 and degenerate
-
-    def test_sine_regular_value(self):
-        value, degenerate = gallery_phi(GalleryVariant.SIN, 0.3)
-        assert value == pytest.approx(math.sin(0.3), rel=1e-15)
-        assert not degenerate
-
-
-class TestDenominatorSpecFamily:
-    def test_dispatch_matches_operations(self):
-        cases = [
-            (Standard(h=0.2), 0.2),
-            (NsfdTime(dt=0.5, b=1.2), phi_nsfd(0.5, 1.2)),
-            (NsfdSpace(dx=0.3, r=2.0), psi2_nsfd(0.3, 2.0)),
-            (SpectralTime(dt=0.5, a=1.0, b=1.2, k=2.0),
-             phi_spectral(0.5, 1.0, 1.2, 2.0)),
-            (SpectralSpace(dx=0.3, a=1.0, b=0.0, s=1.0),
-             psi2_spectral(0.3, 1.0, 0.0, 1.0)),
-            (ConformableExact(rate=1.0, order=0.5, t_n=0.0, t_np1=1.0),
-             mu_exact_step(ExactStepKind.CONFORMABLE, 1.0, 0.5, 0.0, 1.0)),
-            (MlExact(rate=1.0, order=0.5, t_n=0.0, t_np1=1.0),
-             mu_exact_step(ExactStepKind.MITTAG_LEFFLER, 1.0, 0.5, 0.0, 1.0)),
-            (Gallery(variant=GalleryVariant.SIN, h=0.3), math.sin(0.3)),
-        ]
-        for spec, expected in cases:
-            assert evaluate_denominator(spec) == pytest.approx(expected,
-                                                               rel=1e-15)
-
-    def test_every_family_positive_except_flagged_gallery(self):
-        specs = [
-            Standard(h=0.2),
-            NsfdTime(dt=0.5, b=-3.0),
-            NsfdSpace(dx=0.3, r=-2.0),
-            SpectralTime(dt=0.5, a=1.0, b=0.0, k=3.0),
-            SpectralSpace(dx=0.3, a=1.0, b=0.0, s=2.0),
-            ConformableExact(rate=1.0, order=0.5, t_n=0.2, t_np1=0.4),
-            MlExact(rate=1.0, order=0.5, t_n=0.2, t_np1=0.4),
-        ]
-        for spec in specs:
-            assert evaluate_denominator(spec) > 0.0

@@ -304,18 +304,33 @@ class TestCli:
         assert "(0, 1]" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
-        assert main(["run", str(tmp_path / "none.cfg")]) == 2
+        missing = tmp_path / "none.cfg"
+        assert main(["run", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_runtime_abort_exit_code(self, tmp_path, capsys):
-        # spectral_phys needs a > 0; a = 0 passes config validation but
-        # aborts inside the solver
+        # nsfd's psi2 needs sqrt(b/a)*dx/2 < pi; here it is sqrt(1000)/4,
+        # which passes config validation but aborts inside the solver
         config_file = tmp_path / "abort.cfg"
         config_file.write_text(
-            "experiment = pde_compare\na = 0.0\nb = 1.0\nic_mode = 1\n"
-            "t_final = 1.0\ndt = 0.5\nmethods = spectral_phys\n"
+            "experiment = pde_compare\na = 1.0\nb = 1000.0\nic_mode = 1\n"
+            "m_points = 8\ndomain_length = 4.0\nt_final = 1.0\ndt = 0.5\n"
+            "methods = nsfd\n"
         )
         assert main(["run", str(config_file), "--out", str(tmp_path)]) == 3
-        assert "runtime abort" in capsys.readouterr().err
+        assert ("runtime abort in pde_compare: DegenerateDenominatorError: "
+                in capsys.readouterr().err)
+
+    def test_diffusionless_spectral_phys(self, tmp_path):
+        assert main(["pde", "--a", "0", "--b", "0.5",
+                     "--methods", "spectral_phys,nsfd",
+                     "--out", str(tmp_path)]) == 0
+        rows = csv_rows(tmp_path / "pde_compare.csv")
+        spectral = [r for r in rows if r["method"] == "spectral_phys"]
+        nsfd = [r for r in rows if r["method"] == "nsfd"]
+        assert len(spectral) == 3
+        assert ([{**r, "method": ""} for r in spectral]
+                == [{**r, "method": ""} for r in nsfd])
 
     def test_negative_exponent_floats_are_values(self, tmp_path, capsys):
         assert main(["pde", "--b", "-5e-05", "--out", str(tmp_path)]) == 0

@@ -20,9 +20,7 @@ from spectralfd.pde_solvers import (
     evolve_modal,
     grid_wavenumbers,
     laplace_mode_solve,
-    step_euler,
-    step_nsfd,
-    step_spectral,
+    step,
 )
 
 from oracles import bisect, dense_step_matrix, modal_frames, naive_dft
@@ -63,14 +61,15 @@ class TestStepEuler:
     def test_zero_frame(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=1.0, b=2.0, initial_condition=np.zeros(16))
-        assert np.all(step_euler(problem, grid, 0.1, np.zeros(16)) == 0.0)
+        stepped = step(problem, grid, EulerStd(dt=0.1), np.zeros(16))
+        assert np.all(stepped == 0.0)
 
     def test_identity_when_trivial(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=0.0, b=0.0, initial_condition=np.zeros(16))
         frame = np.sin(grid.points)
-        np.testing.assert_array_equal(step_euler(problem, grid, 0.1, frame),
-                                      frame)
+        np.testing.assert_array_equal(
+            step(problem, grid, EulerStd(dt=0.1), frame), frame)
 
     def test_single_mode_amplification_matches_matrix(self):
         m = 64
@@ -79,7 +78,7 @@ class TestStepEuler:
                              initial_condition=np.sin(grid.points))
         dt = 0.001
         frame = np.sin(grid.points)
-        stepped = step_euler(problem, grid, dt, frame)
+        stepped = step(problem, grid, EulerStd(dt=dt), frame)
         g = 1.0 + dt * (0.0 - (4.0 / grid.dx**2)
                         * math.sin(1.0 * grid.dx / 2.0) ** 2)
         np.testing.assert_allclose(stepped, g * frame, rtol=1e-12, atol=1e-15)
@@ -91,7 +90,7 @@ class TestStepEuler:
         grid = Grid1D(x0=0.0, dx=0.1, m_points=11,
                       boundary=Dirichlet(2.0, -1.0))
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(11))
-        stepped = step_euler(problem, grid, 0.001, np.zeros(11))
+        stepped = step(problem, grid, EulerStd(dt=0.001), np.zeros(11))
         assert stepped[0] == 2.0 and stepped[-1] == -1.0
 
 
@@ -101,7 +100,7 @@ class TestStepNsfd:
         problem = PDEProblem(a=1.0, b=0.7,
                              initial_condition=np.full(32, 3.0))
         for dt in (0.1, 1.0, 5.0):
-            stepped = step_nsfd(problem, grid, dt, np.full(32, 3.0))
+            stepped = step(problem, grid, Nsfd(dt=dt), np.full(32, 3.0))
             expected = 3.0 * math.exp(0.7 * dt)
             np.testing.assert_allclose(stepped, expected, rtol=1e-12)
 
@@ -111,7 +110,7 @@ class TestStepNsfd:
             frame = np.sin(grid.points)
             problem = PDEProblem(a=1.0, b=1.0, initial_condition=frame)
             for dt in (0.1, 1.0, 2.0):
-                stepped = step_nsfd(problem, grid, dt, frame)
+                stepped = step(problem, grid, Nsfd(dt=dt), frame)
                 assert np.max(np.abs(stepped - frame)) <= 1e-12
 
     def test_steady_mode_large_step_roundoff(self):
@@ -120,19 +119,19 @@ class TestStepNsfd:
         grid = dirichlet_grid(m=33)
         frame = np.sin(grid.points)
         problem = PDEProblem(a=1.0, b=1.0, initial_condition=frame)
-        stepped = step_nsfd(problem, grid, 5.0, frame)
+        stepped = step(problem, grid, Nsfd(dt=5.0), frame)
         assert np.max(np.abs(stepped - frame)) <= 2e-11
 
     def test_zero_frame(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=1.0, b=1.0, initial_condition=np.zeros(16))
-        assert np.all(step_nsfd(problem, grid, 0.5, np.zeros(16)) == 0.0)
+        assert np.all(step(problem, grid, Nsfd(dt=0.5), np.zeros(16)) == 0.0)
 
     def test_diffusionless_reduction(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=0.0, b=2.0, initial_condition=np.zeros(16))
         frame = np.cos(grid.points)
-        stepped = step_nsfd(problem, grid, 0.3, frame)
+        stepped = step(problem, grid, Nsfd(dt=0.3), frame)
         np.testing.assert_allclose(stepped, frame * math.exp(2.0 * 0.3),
                                    rtol=1e-14)
 
@@ -143,14 +142,16 @@ class TestStepSpectral:
         grid = periodic_grid(m=32)
         frame = rng.standard_normal(32)
         problem = PDEProblem(a=1.0, b=0.8, initial_condition=frame)
-        nsfd = step_nsfd(problem, grid, 0.4, frame)
-        spectral = step_spectral(problem, grid, 0.4, 0.0, 0.0, frame)
+        nsfd = step(problem, grid, Nsfd(dt=0.4), frame)
+        spectral = step(problem, grid, SpectralPhys(dt=0.4, k=0.0, s=0.0),
+                        frame)
         np.testing.assert_allclose(spectral, nsfd, rtol=1e-14, atol=1e-16)
 
     def test_zero_frame(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=1.0, b=1.0, initial_condition=np.zeros(16))
-        stepped = step_spectral(problem, grid, 0.5, 1.0, 2.0, np.zeros(16))
+        stepped = step(problem, grid, SpectralPhys(dt=0.5, k=1.0, s=2.0),
+                       np.zeros(16))
         assert np.all(stepped == 0.0)
 
     def test_matched_mode_exact_amplification(self):
@@ -167,7 +168,8 @@ class TestStepSpectral:
                         b + 1e6)
         frame = np.sin(k0 * grid.points)
         problem = PDEProblem(a=a, b=b, initial_condition=frame)
-        stepped = step_spectral(problem, grid, dt, k0, s_star, frame)
+        stepped = step(problem, grid, SpectralPhys(dt=dt, k=k0, s=s_star),
+                       frame)
         expected = math.exp((b - a * k0**2) * dt) * frame
         assert np.max(np.abs(stepped - expected)) <= 1e-10
 
@@ -179,13 +181,11 @@ class TestStepSpectral:
         alpha, beta = 1.7, -0.6
         for a, b in ((1.0, 0.5), (0.3, -1.0)):
             problem = PDEProblem(a=a, b=b, initial_condition=u)
-            for step in (
-                lambda f: step_euler(problem, grid, 0.2, f),
-                lambda f: step_nsfd(problem, grid, 0.2, f),
-                lambda f: step_spectral(problem, grid, 0.2, 1.0, b + a, f),
-            ):
-                combined = step(alpha * u + beta * v)
-                separate = alpha * step(u) + beta * step(v)
+            for kind in (EulerStd(dt=0.2), Nsfd(dt=0.2),
+                         SpectralPhys(dt=0.2, k=1.0, s=b + a)):
+                combined = step(problem, grid, kind, alpha * u + beta * v)
+                separate = (alpha * step(problem, grid, kind, u)
+                            + beta * step(problem, grid, kind, v))
                 np.testing.assert_allclose(combined, separate, rtol=1e-12,
                                            atol=1e-12)
 
@@ -264,15 +264,35 @@ class TestEvolve:
         assert len(traj.times) < 2001
         assert np.all(np.isfinite(traj.frames))
 
+    def test_diffusionless_spectral_matches_nsfd(self):
+        # with a = 0 both kinds reduce to the exact reaction step, whatever
+        # (k, s) the spectral kind carries
+        grid = periodic_grid(m=16)
+        frame = np.cos(grid.points)
+        problem = PDEProblem(a=0.0, b=1.3, initial_condition=frame)
+        nsfd = evolve(problem, grid, Nsfd(dt=0.25), 8)
+        spectral = evolve(problem, grid, SpectralPhys(dt=0.25, k=2.0, s=5.0),
+                          8)
+        assert np.array_equal(spectral.frames, nsfd.frames)
+        np.testing.assert_allclose(nsfd.frames[-1],
+                                   frame * math.exp(1.3 * 2.0), rtol=1e-13)
+
+    def test_step_rejects_modal_kind(self):
+        grid = periodic_grid(m=16)
+        problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
+        with pytest.raises(TypeError):
+            step(problem, grid, SpectralModal(dt=0.1), np.zeros(16))
+
     def test_solver_reduction_chain(self):
         rng = np.random.RandomState(13)
         grid = periodic_grid(m=24)
         frame = rng.standard_normal(24)
         tiny = 1e-12  # difference scales linearly with the coefficients
         problem = PDEProblem(a=tiny, b=tiny, initial_condition=frame)
-        euler = step_euler(problem, grid, 0.3, frame)
-        nsfd = step_nsfd(problem, grid, 0.3, frame)
-        spectral = step_spectral(problem, grid, 0.3, 0.0, 0.0, frame)
+        euler = step(problem, grid, EulerStd(dt=0.3), frame)
+        nsfd = step(problem, grid, Nsfd(dt=0.3), frame)
+        spectral = step(problem, grid, SpectralPhys(dt=0.3, k=0.0, s=0.0),
+                        frame)
         np.testing.assert_allclose(nsfd, euler, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(spectral, nsfd, rtol=1e-14, atol=1e-16)
 
@@ -366,12 +386,18 @@ class TestAmplificationFactor:
         assert abs(crossing - bound) <= 0.0002 + 1e-12
 
     def test_nsfd_matches_one_step(self):
+        # every explicit kind, with and without diffusion: the factor is the
+        # step's eigenvalue on a single Fourier mode
         grid = periodic_grid(m=32)
         frame = np.sin(3.0 * grid.points)
-        problem = PDEProblem(a=1.0, b=0.5, initial_condition=frame)
-        g = amplification_factor(Nsfd(dt=0.7), problem, grid, 3.0)
-        stepped = step_nsfd(problem, grid, 0.7, frame)
-        np.testing.assert_allclose(stepped, g * frame, rtol=1e-11, atol=1e-13)
+        for a in (0.0, 1.0):
+            problem = PDEProblem(a=a, b=0.5, initial_condition=frame)
+            for kind in (EulerStd(dt=0.7), Nsfd(dt=0.7),
+                         SpectralPhys(dt=0.7, k=3.0, s=1.5)):
+                g = amplification_factor(kind, problem, grid, 3.0)
+                stepped = step(problem, grid, kind, frame)
+                np.testing.assert_allclose(stepped, g * frame, rtol=1e-11,
+                                           atol=1e-13)
 
 
 class TestDefaults:

@@ -6,8 +6,6 @@ import pytest
 from spectralfd.propagators import (
     FitDegenerateError,
     FitRangeError,
-    PropagatorFamily,
-    PropagatorSpec,
     SignatureKind,
     local_propagator,
     nonlocal_propagator,
@@ -73,20 +71,6 @@ class TestNonlocalPropagator:
             for t in (5.0, 8.0, 12.0, 20.0):
                 assert (nonlocal_propagator(1.0, order, t)
                         > local_propagator(1.0, order, t))
-
-
-class TestPropagatorSpec:
-    def test_dispatch(self):
-        spec = PropagatorSpec(PropagatorFamily.LOCAL_EXP, rate=1.0, order=1.0)
-        assert spec.evaluate(1.0) == pytest.approx(math.exp(-1.0))
-        spec = PropagatorSpec(PropagatorFamily.NONLOCAL_ML, rate=1.0, order=0.5)
-        assert spec.evaluate(1.0) == pytest.approx(ml_half_oracle(1.0), abs=1e-12)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            PropagatorSpec(PropagatorFamily.LOCAL_EXP, rate=-1.0, order=0.5)
-        with pytest.raises(ValueError):
-            PropagatorSpec(PropagatorFamily.LOCAL_EXP, rate=1.0, order=1.2)
 
 
 class TestSignatureFit:
