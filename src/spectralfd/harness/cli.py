@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace):
     command = args.command
     if command == "run":
-        return parse_config(Path(args.config_file).read_text())
+        return parse_config(Path(args.config_file).read_text(encoding="utf-8"))
 
     def keep(d: dict) -> dict:
         return {k: v for k, v in d.items() if v is not None}
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 

@@ -308,6 +308,16 @@ class TestCli:
         assert main(["run", str(missing)]) == 2
         assert str(missing) in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        config_file = tmp_path / "bin.cfg"
+        config_file.write_bytes(b"\xff\xfe" + "experiment = ml_identities\n"
+                                .encode("utf-16-le"))
+        assert main(["run", str(config_file), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config: ")
+        assert "codec can't decode" in err
+        assert not (tmp_path / "ml_identities.csv").exists()
+
     def test_runtime_abort_exit_code(self, tmp_path, capsys):
         # nsfd's psi2 needs sqrt(b/a)*dx/2 < pi; here it is sqrt(1000)/4,
         # which passes config validation but aborts inside the solver

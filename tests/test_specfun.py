@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from spectralfd.specfun import (
-    ConvergenceError,
     GammaPoleError,
     MLParams,
-    _asymptotic_negative,
-    _series_extended,
     gamma,
     mittag_leffler,
     ml,
 )
 
-from oracles import ml_half_oracle
+from oracles import ml_half_oracle, ml_oracle
+
+# The contract sweep of mittag_leffler: alpha from 0.1 to 1.9, the betas
+# below, and z over [-50, 10], denser near the origin.
+SWEEP_ALPHAS = [round(0.1 * i, 1) for i in range(1, 20)]
+SWEEP_BETAS = (0.3, 0.5, 1.0, 2.0)
+SWEEP_Z = (-50.0, -40.0, -30.0, -20.0, -15.0, -10.0, -6.0, -3.0, -1.0, -0.3,
+           0.3, 1.0, 3.0, 6.0, 10.0)
 
 
 class TestGamma:
@@ -54,7 +58,7 @@ class TestGamma:
 class TestMLParams:
     def test_defaults(self):
         p = MLParams(alpha=0.5)
-        assert p.beta == 1.0 and p.tol == 1e-12 and p.max_terms == 2000
+        assert p.beta == 1.0 and p.tol == 1e-12
 
     @pytest.mark.parametrize("alpha", [0.0, -0.3, 2.0, 2.5])
     def test_alpha_domain(self, alpha):
@@ -64,8 +68,6 @@ class TestMLParams:
     def test_tol_and_terms(self):
         with pytest.raises(ValueError):
             MLParams(alpha=0.5, tol=0.0)
-        with pytest.raises(ValueError):
-            MLParams(alpha=0.5, max_terms=0)
 
 
 class TestMittagLeffler:
@@ -118,27 +120,64 @@ class TestMittagLeffler:
             got = mittag_leffler(MLParams(alpha=0.5, beta=0.5), -x)
             assert got == pytest.approx(ref, rel=1e-12)
 
-    def test_regime_overlap_agreement(self):
-        # both evaluation regimes are valid on [-6, -4] for alpha <= 0.45
-        for alpha in (0.3, 0.4, 0.45):
-            for x in np.linspace(4.0, 6.0, 9):
-                series = _series_extended(alpha, 1.0, 1e-13, 6000, -float(x))
-                asym = _asymptotic_negative(alpha, 1.0, 1e-13, 2000, float(x))
-                assert abs(series - asym) <= 1e-8
-
     def test_deep_negative_axis_accuracy(self):
-        # erfc oracle covers the asymptotic branch for alpha = 1/2
+        # erfc oracle at deep negative arguments for alpha = 1/2
         for t in (8.0, 12.0, 20.0, 50.0):
             assert ml(0.5, -t) == pytest.approx(ml_half_oracle(t), rel=1e-11)
 
-    def test_non_convergence_error(self):
-        with pytest.raises(ConvergenceError):
-            mittag_leffler(MLParams(alpha=0.1, max_terms=50), -1.0)
-
     def test_positive_overflow_signaled(self):
-        with pytest.raises((OverflowError, ConvergenceError)):
-            mittag_leffler(MLParams(alpha=0.1, max_terms=5000), 10.0)
+        with pytest.raises(OverflowError):
+            mittag_leffler(MLParams(alpha=0.1), 10.0)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ml(0.5, float("inf"))
+
+    @pytest.mark.parametrize("alpha", SWEEP_ALPHAS)
+    def test_oracle_sweep(self, alpha):
+        for beta in SWEEP_BETAS:
+            for z in SWEEP_Z:
+                ref = ml_oracle(alpha, beta, z)
+                if math.isinf(ref):
+                    with pytest.raises(OverflowError):
+                        mittag_leffler(MLParams(alpha=alpha, beta=beta), z)
+                    continue
+                for tol in (1e-12, 1e-8):
+                    got = mittag_leffler(MLParams(alpha, beta, tol), z)
+                    bound = tol * max(abs(ref), 1e-2)
+                    assert abs(got - ref) <= bound, (beta, z, tol)
+
+    @pytest.mark.parametrize("beta", SWEEP_BETAS)
+    def test_large_positive_value_finite(self, beta):
+        # E_0.3(5) ~ e**213.7 is representable
+        got = mittag_leffler(MLParams(alpha=0.3, beta=beta), 5.0)
+        assert math.isfinite(got)
+        assert got == pytest.approx(ml_oracle(0.3, beta, 5.0), rel=1e-12)
+        if beta == 1.0:
+            assert got == pytest.approx(2.24915027755e93, rel=1e-11)
+
+    def test_overflow_names_the_point(self):
+        # E_0.3(8) ~ e**1024
+        with pytest.raises(OverflowError, match=r"E_\{0\.3,1\}\(8\)"):
+            ml(0.3, 8.0)
+        with pytest.raises(OverflowError, match=r"E_\{1,1\}\(800\)"):
+            ml(1.0, 800.0)
+
+    def test_slowly_decaying_series_point(self):
+        # the power series of E_{0.1,0.5}(1) has a long, slowly decaying tail
+        params = MLParams(alpha=0.1, beta=0.5)
+        ref = ml_oracle(0.1, 0.5, 1.0)
+        assert abs(mittag_leffler(params, 1.0) - ref) <= params.tol * abs(ref)
+
+    @pytest.mark.parametrize("z", [1e-300, -1e-300, 1e-40, -1e-40])
+    def test_tiny_argument(self, z):
+        # the pole z**(1/alpha) underflows onto the origin
+        for alpha, beta in ((0.3, 1.0), (0.7, 2.0), (1.5, 0.5)):
+            got = mittag_leffler(MLParams(alpha=alpha, beta=beta), z)
+            assert got == pytest.approx(1.0 / math.gamma(beta), rel=1e-12)
+
+    def test_unreachable_accuracy_rejected(self):
+        # beta - alpha = 3.4: the origin singularity admits no contour at
+        # the 1e-15 target that tol = 1e-12 needs
+        with pytest.raises(ValueError, match="no parabolic contour"):
+            mittag_leffler(MLParams(alpha=0.1, beta=3.5), -1.0)
