@@ -146,9 +146,12 @@ def _run_pde_stability(p: dict):
     for method in p["methods"]:
         for dt in p["dt"]:
             kind = _solver_kind(method, dt, problem, grid, p)
-            for k in wavenumbers:
-                g = pde.amplification_factor(kind, problem, grid, k)
-                rows.append((method, k, dt, g, abs(g) <= 1.0 + 1e-12))
+            g = pde.amplification_factor(kind, problem, grid,
+                                         np.array(wavenumbers))
+            stable = np.abs(g) <= 1.0 + 1e-12
+            # tolist() gives the report Python floats and bools
+            rows.extend(zip([method] * len(g), wavenumbers, [dt] * len(g),
+                            g.tolist(), stable.tolist()))
     return columns, rows
 
 

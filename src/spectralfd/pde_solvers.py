@@ -14,22 +14,22 @@ denominator pair (phi, psi2) the solver kind selects:
   Fourier mode k and Laplace mode s.
 
 With a = 0 the diffusion term drops out for every kind, and psi2 is never
-formed.  ``amplification_factor`` reports the per-step multiplier a kind
-applies to a single spatial mode, the basic stability diagnostic, from the
-same denominator pair.
+formed.  ``evolve`` marches in place through one preallocated frames array
+with the same whole-array kernel as ``step``.  ``amplification_factor``
+reports the per-step multiplier (Fourier symbol) a kind applies to each
+spatial mode, the basic stability diagnostic, from the same pair.
 
 ``evolve_modal`` instead multiplies every Fourier mode of a periodic frame
 by its exact growth factor exp((b - a*k^2)*t), which makes the evolution
 exact for any step size; the transform is numpy's real FFT, so the frames
 are real by construction and the grid size is not capped.
-``laplace_mode_solve`` is the transform-space boundary-value companion: a
-tridiagonal solve for one Laplace mode of the solution with homogeneous
-Dirichlet walls.
+``laplace_mode_solve`` is the transform-space boundary-value companion: one
+Laplace mode of the solution with homogeneous Dirichlet walls, solved as a
+division in sine space (a DST-I done with the same real FFT).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -49,7 +49,6 @@ __all__ = [
     "SpectralModal",
     "SolverKind",
     "FieldTrajectory",
-    "SingularSystemError",
     "step",
     "evolve",
     "evolve_modal",
@@ -58,10 +57,6 @@ __all__ = [
     "grid_wavenumbers",
     "default_spectral_params",
 ]
-
-class SingularSystemError(ArithmeticError):
-    """The boundary-value system is singular (resonant mode)."""
-
 
 @dataclass(frozen=True)
 class Periodic:
@@ -179,28 +174,11 @@ class FieldTrajectory:
                 raise ValueError("times must be uniformly spaced")
 
 
-def _second_difference(frame: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """u_{m+1} - 2 u_m + u_{m-1}; edge rows of Dirichlet grids are zeroed
-    (they are overwritten with boundary data after each step)."""
-    if isinstance(boundary, Periodic):
-        return np.roll(frame, -1) - 2.0 * frame + np.roll(frame, 1)
-    d2 = np.zeros_like(frame)
-    d2[1:-1] = frame[2:] - 2.0 * frame[1:-1] + frame[:-2]
-    return d2
-
-
 def _apply_boundary(frame: np.ndarray, boundary: Boundary) -> np.ndarray:
     if isinstance(boundary, Dirichlet):
         frame[0] = boundary.left_value
         frame[-1] = boundary.right_value
     return frame
-
-
-def _as_frame(frame, grid: Grid1D) -> np.ndarray:
-    u = np.asarray(frame, dtype=float)
-    if u.shape != (grid.m_points,):
-        raise ValueError(f"frame shape {u.shape} does not match grid")
-    return u
 
 
 def _denominators(kind: SolverKind, problem: PDEProblem,
@@ -222,43 +200,67 @@ def _denominators(kind: SolverKind, problem: PDEProblem,
     raise TypeError(f"unknown explicit solver kind {kind!r}")
 
 
+def _advance(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
+             u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write the step of u into ``out``, using ``work`` for D2 u; neither
+    buffer may alias u.  D2 keeps the order (u[m+1] - 2 u[m]) + u[m-1]."""
+    phi, psi2 = _denominators(kind, problem, grid)
+    np.multiply(u, problem.b, out=out)
+    if problem.a > 0.0:
+        inner = work[1:-1]
+        np.multiply(u[1:-1], 2.0, out=inner)
+        np.subtract(u[2:], inner, out=inner)
+        np.add(inner, u[:-2], out=inner)
+        if isinstance(grid.boundary, Periodic):
+            work[0] = (u[1] - 2.0 * u[0]) + u[-1]
+            work[-1] = (u[0] - 2.0 * u[-1]) + u[-2]
+        else:  # Dirichlet edges are overwritten with boundary data
+            work[0] = work[-1] = 0.0
+        np.multiply(work, problem.a, out=work)
+        np.divide(work, psi2, out=work)
+        np.add(work, out, out=out)
+    np.multiply(out, phi, out=out)
+    np.add(u, out, out=out)
+    return _apply_boundary(out, grid.boundary)
+
+
 def step(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
          frame) -> np.ndarray:
     """One explicit step u + phi * (a * D2 u / psi2 + b * u) of any explicit
-    kind; with a == 0 the diffusion term is dropped."""
-    u = _as_frame(frame, grid)
-    phi, psi2 = _denominators(kind, problem, grid)
-    if problem.a > 0.0:
-        d2 = _second_difference(u, grid.boundary)
-        new = u + phi * (problem.a * d2 / psi2 + problem.b * u)
-    else:
-        new = u + phi * (problem.b * u)
-    return _apply_boundary(new, grid.boundary)
+    kind, as a new array; with a == 0 the diffusion term is dropped."""
+    u = np.asarray(frame, dtype=float)
+    if u.shape != (grid.m_points,):
+        raise ValueError(f"frame shape {u.shape} does not match grid")
+    return _advance(problem, grid, kind, u, np.empty_like(u), np.empty_like(u))
 
 
 def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
            n_steps: int) -> FieldTrajectory:
     """Run any solver kind for n_steps from the problem's initial data.
 
-    Explicit steppers stop early if a frame goes non-finite (blow-up is a
-    result, not an exception); the returned trajectory then ends at the
-    last finite frame.
+    Explicit kinds march in place through one ``(n_steps + 1, M)`` array,
+    writing row n + 1 from row n with the kernel ``step`` uses, so the
+    frames equal repeated ``step`` calls bit for bit.  The march stops
+    early if a frame goes non-finite (blow-up is a result, not an
+    exception); the trajectory then holds a copy of the finite rows only.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     problem.check_grid(grid)
     if isinstance(kind, SpectralModal):
         return evolve_modal(problem, grid, kind.dt, n_steps)
-    u = _apply_boundary(problem.initial_condition.copy(), grid.boundary)
-    frames = [u]
+    frames = np.empty((n_steps + 1, grid.m_points))
+    frames[0] = problem.initial_condition
+    _apply_boundary(frames[0], grid.boundary)
+    work = np.empty(grid.m_points)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
-            u = step(problem, grid, kind, u)
-            if not np.all(np.isfinite(u)):
+        for n in range(n_steps):
+            _advance(problem, grid, kind, frames[n], frames[n + 1], work)
+            if not np.isfinite(frames[n + 1]).all():
+                frames = frames[: n + 1].copy()  # frees the unused tail
                 break
-            frames.append(u)
     times = np.arange(len(frames)) * kind.dt
-    return FieldTrajectory(grid=grid, times=times, frames=np.vstack(frames))
+    return FieldTrajectory(grid=grid, times=times, frames=frames)
 
 
 def grid_wavenumbers(grid: Grid1D) -> np.ndarray:
@@ -298,9 +300,12 @@ def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,
     """Laplace-mode boundary-value solve with homogeneous Dirichlet walls.
 
     Solves (Y_{m+1} - 2 Y_m + Y_{m-1})/psi2 + ((b - s)/a) Y_m + u0_m/a = 0
-    for the interior, with Y = 0 at both walls.  For s > b the system is
-    strictly diagonally dominant, hence uniquely solvable; a vanishing
-    pivot is reported as a resonant (singular) mode.
+    for the n interior points, with Y = 0 at both walls.  Scaled by psi2 the
+    system is Toeplitz tridiagonal with diagonal diag = -2 + psi2 (b - s)/a,
+    which the sine transform DST-I diagonalises, with eigenvalues
+    lambda_j = diag + 2 cos(j pi/(n+1)); the solve is the division
+    Y = DST(DST(rhs) / lambda) / (2 (n+1)).  Validation forces s > b and
+    a > 0, so every lambda_j < 0.
     """
     problem.check_grid(grid)
     if not isinstance(grid.boundary, Dirichlet) or \
@@ -314,46 +319,39 @@ def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,
     if not (a > 0.0):
         raise ValueError(f"diffusion coefficient must be positive, got {a!r}")
     psi2 = psi2_spectral(grid.dx, a, b, s)
-    m = grid.m_points
-    n_inner = m - 2
-    # interior rows, scaled by psi2: Y_{m-1} + diag*Y_m + Y_{m+1} = rhs
-    diag = -2.0 + psi2 * (b - s) / a
+    n = grid.m_points - 2
     rhs = -psi2 * problem.initial_condition[1:-1] / a
-
-    # Thomas sweep with unit off-diagonals
-    c_prime = np.empty(n_inner)
-    d_prime = np.empty(n_inner)
-    denom = diag
-    if abs(denom) < 1e-300:
-        raise SingularSystemError("zero pivot: resonant Laplace mode")
-    c_prime[0] = 1.0 / denom
-    d_prime[0] = rhs[0] / denom
-    for i in range(1, n_inner):
-        denom = diag - c_prime[i - 1]
-        if abs(denom) < 1e-300:
-            raise SingularSystemError("zero pivot: resonant Laplace mode")
-        c_prime[i] = 1.0 / denom
-        d_prime[i] = (rhs[i] - d_prime[i - 1]) / denom
-    y_inner = np.empty(n_inner)
-    y_inner[-1] = d_prime[-1]
-    for i in range(n_inner - 2, -1, -1):
-        y_inner[i] = d_prime[i] - c_prime[i] * y_inner[i + 1]
-
-    solution = np.zeros(m)
-    solution[1:-1] = y_inner
+    # lambda_j without the cancellation of -2 + 2 cos(theta) at small theta
+    theta = np.pi * np.arange(1, n + 1) / (n + 1)
+    eigenvalues = psi2 * (b - s) / a - 4.0 * np.sin(theta / 2.0) ** 2
+    solution = np.zeros(grid.m_points)
+    solution[1:-1] = _dst1(_dst1(rhs) / eigenvalues) / (2 * (n + 1))
     return solution
 
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """DST-I, X_k = 2 sum_j x_j sin(pi j k/(n+1)) for j, k = 1..n, as the real
+    FFT of the odd extension (0, x, 0, -x reversed); its square is 2 (n+1)."""
+    n = len(x)
+    extension = np.zeros(2 * (n + 1))
+    extension[1:n + 1] = x
+    extension[n + 2:] = -x[::-1]
+    return -np.fft.rfft(extension)[1:n + 1].imag
+
+
 def amplification_factor(kind: SolverKind, problem: PDEProblem, grid: Grid1D,
-                         k: float) -> float:
+                         k: float | np.ndarray) -> float | np.ndarray:
     """Per-step multiplier the solver applies to the spatial mode with
-    physical wavenumber k on a periodic grid."""
+    physical wavenumber k (a float or an ndarray) on a periodic grid: the
+    symbol 1 + phi * (b - 4 a sin^2(k dx/2) / psi2), or exp((b - a k^2) dt)
+    for ``SpectralModal``.  numpy's sin and exp can differ from ``math``'s
+    by an ulp."""
     a, b = problem.a, problem.b
     if isinstance(kind, SpectralModal):
-        return math.exp((b - a * k * k) * kind.dt)
+        return np.exp((b - a * k * k) * kind.dt)
     phi, psi2 = _denominators(kind, problem, grid)
-    sin2 = math.sin(k * grid.dx / 2.0) ** 2
-    diffusion = 4.0 * a * sin2 / psi2 if a > 0.0 else 0.0
+    sin2 = np.sin(k * grid.dx / 2.0) ** 2
+    diffusion = 4.0 * a * sin2 / psi2 if a > 0.0 else np.zeros_like(sin2)
     return 1.0 + phi * (b - diffusion)
 
 

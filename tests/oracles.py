@@ -3,7 +3,8 @@
 Everything here is deliberately built from primitives unrelated to the
 implementation paths it checks: libm special functions, mpmath series in
 extended precision, dense matrix application, a naive O(M^2) discrete
-Fourier transform, and bisection.
+Fourier transform, per-mode Fourier symbols and sine-mode closed forms, and
+bisection.
 """
 
 from __future__ import annotations
@@ -126,6 +127,45 @@ def modal_frames(u0: np.ndarray, length: float, a: float, b: float,
     spectrum = naive_dft(u0)
     return np.array([naive_idft(spectrum * np.exp((b - a * k * k) * t)).real
                      for t in times])
+
+
+def fourier_symbol_frames(u0: np.ndarray, a: float, b: float, phi: float,
+                          psi2: float | None, n_steps: int) -> np.ndarray:
+    """Frames 0..n_steps of the explicit step u + phi (a D2 u / psi2 + b u)
+    on a periodic grid, taken in Fourier space.
+
+    D2 multiplies real-FFT index j by -4 sin^2(pi j / M), so every mode is
+    multiplied by its symbol G_j = 1 + phi (b - 4 a sin^2(pi j/M) / psi2)
+    once per step, and frame n = irfft(rfft(u0) G^n).  The powers are built
+    one step at a time, so a coefficient overflows only when it passes the
+    double range itself; a frame past that is non-finite.
+    """
+    m = len(u0)
+    sin2 = np.sin(np.pi * np.arange(m // 2 + 1) / m) ** 2
+    diffusion = 4.0 * a * sin2 / psi2 if a > 0.0 else 0.0
+    symbol = 1.0 + phi * (b - diffusion)
+    factors = np.vstack([np.fft.rfft(u0, norm="forward"),
+                         np.broadcast_to(symbol, (n_steps, len(symbol)))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.irfft(np.cumprod(factors, axis=0), n=m, norm="forward")
+
+
+def sine_mode_laplace(m: int, mode: int, a: float, b: float, s: float,
+                      psi2: float) -> tuple[np.ndarray, np.ndarray]:
+    """A sine mode on m points with walls at both ends, and the exact
+    solution of the discrete Laplace-mode problem
+    (Y_{i+1} - 2 Y_i + Y_{i-1})/psi2 + ((b - s)/a) Y_i + u0_i/a = 0 it drives.
+
+    sin(mode pi i/(m-1)) is an eigenvector of the second difference with
+    eigenvalue -4 sin^2(mode pi/(2(m-1))), so Y = u0 / (4 a sin^2/psi2 + s - b).
+    The sine arguments are reduced exactly in integers first, so u0 is the
+    mode to within an ulp whatever m is.  Returns (u0, Y).
+    """
+    n1 = m - 1
+    u0 = np.sin(np.pi * ((mode * np.arange(m)) % (2 * n1)) / n1)
+    u0[0] = u0[-1] = 0.0
+    sin2 = math.sin(math.pi * mode / (2 * n1)) ** 2
+    return u0, u0 / (4.0 * a * sin2 / psi2 + s - b)
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-14,

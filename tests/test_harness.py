@@ -257,6 +257,13 @@ class TestExperimentSemantics:
         for row in report.rows:
             assert row[5] <= 1e-10  # abs_err at every checkpoint
 
+    def test_pde_stability_cells_are_python_scalars(self):
+        # the CSV writes a bool as true/false but an np.bool_ as True/False
+        report = run_experiment(parse_config(GOLDEN_CONFIGS["pde_stability"]))
+        for method, k, dt, g, stable in report.rows:
+            assert (type(k), type(dt), type(g)) == (float, float, float)
+            assert type(stable) is bool
+
     def test_laplace_bvp_orders(self):
         report = run_experiment(parse_config(GOLDEN_CONFIGS["laplace_bvp"]))
         orders = [p for p in report.column("observed_p") if p is not None]

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spectralfd.denominators import phi_nsfd, psi2_nsfd, psi2_spectral
+from spectralfd.denominators import (
+    phi_nsfd,
+    phi_spectral,
+    psi2_nsfd,
+    psi2_spectral,
+)
 from spectralfd.pde_solvers import (
     Dirichlet,
     EulerStd,
@@ -23,7 +28,14 @@ from spectralfd.pde_solvers import (
     step,
 )
 
-from oracles import bisect, dense_step_matrix, modal_frames, naive_dft
+from oracles import (
+    bisect,
+    dense_step_matrix,
+    fourier_symbol_frames,
+    modal_frames,
+    naive_dft,
+    sine_mode_laplace,
+)
 
 
 def periodic_grid(m=64, length=2.0 * math.pi):
@@ -33,6 +45,24 @@ def periodic_grid(m=64, length=2.0 * math.pi):
 def dirichlet_grid(m=33, length=math.pi):
     return Grid1D(x0=0.0, dx=length / (m - 1), m_points=m,
                   boundary=Dirichlet(0.0, 0.0))
+
+
+def explicit_kinds(dt, a, b, dx):
+    """Each explicit kind with its (phi, psi2) pair, written out from the
+    denominator functions (a > 0)."""
+    k, s = 1.0, b + a + 0.5
+    return [
+        (EulerStd(dt=dt), dt, dx * dx),
+        (Nsfd(dt=dt), phi_nsfd(dt, b), psi2_nsfd(dx, b / a)),
+        (SpectralPhys(dt=dt, k=k, s=s), phi_spectral(dt, a, b, k),
+         psi2_spectral(dx, a, b, s)),
+    ]
+
+
+def assert_frames_close(frames, expected, rtol):
+    assert frames.shape == expected.shape
+    for frame, exact in zip(frames, expected):
+        assert np.max(np.abs(frame - exact)) <= rtol * np.max(np.abs(exact))
 
 
 class TestGridAndProblem:
@@ -297,6 +327,89 @@ class TestEvolve:
         np.testing.assert_allclose(spectral, nsfd, rtol=1e-14, atol=1e-16)
 
 
+class TestFourierSymbolOracle:
+    """On a periodic grid every explicit kind is diagonal in Fourier space:
+    the kinds differ only in their symbol G, that is in (phi, psi2)."""
+
+    PAIRS = [(1.0, 0.5), (0.3, -1.0), (2.0, 0.0)]
+
+    @pytest.mark.parametrize("m", [8, 33, 64, 257])
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_stable_steps(self, m, a, b):
+        grid = periodic_grid(m=m)
+        u0 = np.random.RandomState(m).standard_normal(m)
+        problem = PDEProblem(a=a, b=b, initial_condition=u0)
+        dt = 0.2 * grid.dx**2 / a
+        for kind, phi, psi2 in explicit_kinds(dt, a, b, grid.dx):
+            traj = evolve(problem, grid, kind, 100)
+            expected = fourier_symbol_frames(u0, a, b, phi, psi2, 100)
+            assert_frames_close(traj.frames, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("m", [8, 33, 64, 257])
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_unstable_steps_up_to_blowup(self, m, a, b):
+        # dt = 2 is far past every kind's stability bound on these grids,
+        # except SpectralPhys at m = 8 with b < 0, which stays bounded
+        grid = periodic_grid(m=m)
+        u0 = np.random.RandomState(m).standard_normal(m)
+        problem = PDEProblem(a=a, b=b, initial_condition=u0)
+        n_steps = 3000
+        for kind, phi, psi2 in explicit_kinds(2.0, a, b, grid.dx):
+            traj = evolve(problem, grid, kind, n_steps)
+            expected = fourier_symbol_frames(u0, a, b, phi, psi2, n_steps)
+            finite = np.all(np.isfinite(expected), axis=1)
+            first_nonfinite = int(np.argmin(finite)) if not finite.all() \
+                else n_steps + 1
+            kept = len(traj.times)
+            assert kept <= first_nonfinite
+            assert_frames_close(traj.frames, expected[:kept], rtol=1e-12)
+            if kept == n_steps + 1:
+                assert first_nonfinite == n_steps + 1
+                continue
+            # The march stops at the oracle's first non-finite frame, or
+            # sooner only when a term inside the step (D2 u, a D2 u / psi2,
+            # phi (a D2 u / psi2 + b u)) passes the double range before the
+            # new frame does.  No term exceeds `reach` times the last frame.
+            reach = max(4.0, 4.0 * a, 4.0 * a / psi2 + abs(b),
+                        1.0 + phi * (4.0 * a / psi2 + abs(b)))
+            last = np.max(np.abs(expected[kept - 1]))
+            assert last >= np.finfo(float).max / reach * (1.0 - 1e-12)
+
+
+class TestEvolveIsRepeatedStep:
+    """evolve and step share one kernel: no second stepping path."""
+
+    @pytest.mark.parametrize("boundary", [Periodic(), Dirichlet(0.5, -0.25)])
+    @pytest.mark.parametrize("a", [0.0, 0.7])
+    def test_frames_bit_equal(self, boundary, a):
+        m, b = 33, 0.4
+        grid = Grid1D(x0=0.0, dx=2.0 * math.pi / m, m_points=m,
+                      boundary=boundary)
+        u0 = np.random.RandomState(3).standard_normal(m)
+        problem = PDEProblem(a=a, b=b, initial_condition=u0)
+        truncated = 0
+        for dt in (0.2 * grid.dx**2, 3.0):
+            for kind in (EulerStd(dt=dt), Nsfd(dt=dt),
+                         SpectralPhys(dt=dt, k=1.0, s=b + a + 0.5)):
+                traj = evolve(problem, grid, kind, 400)
+                u = traj.frames[0]
+                if isinstance(boundary, Dirichlet):
+                    assert (u[0], u[-1]) == (0.5, -0.25)
+                    assert u[1:-1].tobytes() == u0[1:-1].tobytes()
+                else:
+                    assert u.tobytes() == u0.tobytes()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for frame in traj.frames[1:]:
+                        u = step(problem, grid, kind, u)
+                        assert u.tobytes() == frame.tobytes()
+                    if len(traj.times) < 401:
+                        truncated += 1
+                        assert not np.all(np.isfinite(
+                            step(problem, grid, kind, u)))
+        # with diffusion, dt = 3 blows every kind up within 400 steps
+        assert truncated == (3 if a > 0.0 else 0)
+
+
 class TestLaplaceModeSolve:
     def test_zero_source_gives_zero(self):
         grid = Grid1D(x0=0.0, dx=0.1, m_points=11, boundary=Dirichlet(0.0, 0.0))
@@ -347,7 +460,52 @@ class TestLaplaceModeSolve:
             laplace_mode_solve(problem, periodic_grid(m=11), 2.0)
 
 
+class TestLaplaceSineModeOracle:
+    """laplace_mode_solve against the exact discrete solution per sine mode.
+
+    Only smooth modes are swept: the sampled mode carries an ulp of
+    rounding, which the solve amplifies by up to lambda_mode / lambda_1
+    relative to the mode's own response (about 1e9 for the highest modes
+    at m = 65537), whatever the algorithm.  The tolerance is one a
+    sequential tridiagonal sweep misses by orders of magnitude at
+    m = 65537, where its roundoff reaches 1e-10 to 1e-7.
+    """
+
+    @pytest.mark.parametrize("m", [4, 5, 11, 257, 1025, 16385, 65537])
+    def test_matches_sine_mode_solution(self, m):
+        grid = Grid1D(x0=0.0, dx=1.0 / (m - 1), m_points=m,
+                      boundary=Dirichlet(0.0, 0.0))
+        for a, b, gap in ((1.0, 0.0, 2.0), (0.1, -1.0, 0.5),
+                          (3.0, 0.7, 50.0), (0.5, 2.0, 1e-3),
+                          (1e-3, 0.0, 1.0)):
+            s = b + gap
+            psi2 = psi2_spectral(grid.dx, a, b, s)
+            for mode in (1, 2, 7):
+                if mode > m - 2:
+                    continue
+                u0, exact = sine_mode_laplace(m, mode, a, b, s, psi2)
+                problem = PDEProblem(a=a, b=b, initial_condition=u0)
+                solution = laplace_mode_solve(problem, grid, s)
+                err = np.max(np.abs(solution - exact))
+                assert err <= 1e-14 * np.max(np.abs(exact))
+
+
 class TestAmplificationFactor:
+    def test_array_wavenumbers(self):
+        grid = periodic_grid(m=32)
+        ks = np.abs(grid_wavenumbers(grid))
+        for a in (0.0, 1.0):
+            problem = PDEProblem(a=a, b=0.5, initial_condition=np.zeros(32))
+            for kind in (EulerStd(dt=0.01), Nsfd(dt=0.01),
+                         SpectralPhys(dt=0.01, k=1.0, s=1.5),
+                         SpectralModal(dt=0.01)):
+                g = amplification_factor(kind, problem, grid, ks)
+                assert g.shape == ks.shape
+                scalars = [amplification_factor(kind, problem, grid, float(k))
+                           for k in ks]
+                assert scalars == g.tolist()
+
+
     def test_euler_constant_mode(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
