@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Subcommands mirror the experiment types (``decay``, ``ho``, ``pde``, ``ml``,
-``signature``, ``laplace``) with typed flags, and ``run`` executes a config
-file.  Exit codes: 0 success, 2 configuration error, 3 runtime abort.
+``signature``, ``laplace``), and ``run`` executes a config file.  Each flag
+is a config key ("_" written as "-") generated from the schemas in
+``config``; ``build_config`` checks its string value exactly as it would a
+config file's, and ``pde`` rejects the other study's keys.  Exit codes:
+0 success, 2 configuration error, 3 runtime abort.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import re
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentKind, build_config, parse_config
+from .config import (_SCHEMAS, ConfigError, ExperimentKind, build_config,
+                     parse_config)
 from .experiments import run_experiment
 from .report import PlotSpec, emit_csv, emit_json, emit_svg
 
@@ -47,143 +51,74 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--format", default="csv",
-                        choices=("csv", "json", "svg"),
-                        help="report format (default: csv)")
+# Subcommand -> (help, {study: experiment kind}).  Only pde runs two
+# kinds; --study picks one, and the first is the default.
+_SUBCOMMANDS = {
+    "decay": ("decay-equation order study", {None: ExperimentKind.DECAY_ORDER}),
+    "ho": ("exact harmonic-oscillator run", {None: ExperimentKind.HO_EXACT}),
+    "pde": ("diffusion-reaction comparison/stability",
+            {"compare": ExperimentKind.PDE_COMPARE,
+             "stability": ExperimentKind.PDE_STABILITY}),
+    "ml": ("Mittag-Leffler identity checks",
+           {None: ExperimentKind.ML_IDENTITIES}),
+    "signature": ("near-origin signature fit demo",
+                  {None: ExperimentKind.SIGNATURE_DEMO}),
+    "laplace": ("Laplace-mode BVP convergence",
+                {None: ExperimentKind.LAPLACE_BVP}),
+}
 
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(","))
+# CLI values for keys a config file must give itself; pde_stability's
+# m_points of 64 also overrides the schema's 32.
+_CLI_DEFAULTS = {
+    ExperimentKind.DECAY_ORDER: {"lambda": "1.0", "t_final": "1.0",
+                                 "h0": "0.125", "levels": "6"},
+    ExperimentKind.HO_EXACT: {"omega": "1.0", "h": "0.7", "n_steps": "10000"},
+    ExperimentKind.PDE_COMPARE: {"a": "1.0", "b": "0.0", "ic_mode": "1",
+                                 "t_final": "2.0", "dt": "0.01,0.1,1.0"},
+    ExperimentKind.PDE_STABILITY: {"a": "1.0", "b": "0.0", "dx": "0.1",
+                                   "m_points": "64", "dt": "0.01,0.1,1.0"},
+    ExperimentKind.LAPLACE_BVP: {"a": "1.0", "b": "0.0", "s": "2.0"},
+}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; parse_args leaves it as is."""
+    """The CLI parser, built once per process; parse_args leaves it as is.
+
+    A key flag that is not given stays out of the namespace.
+    """
     parser = _Parser(
         prog="spectralfd",
         description="Denominator-function discretization experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    decay = sub.add_parser("decay", help="decay-equation order study")
-    decay.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    decay.add_argument("--t-final", type=float, default=1.0)
-    decay.add_argument("--h0", type=float, default=0.125)
-    decay.add_argument("--levels", type=int, default=6)
-    decay.add_argument("--x0", type=float, default=1.0)
-    decay.add_argument("--schemes", type=_str_list, default=None)
-    _add_common(decay)
-
-    ho = sub.add_parser("ho", help="exact harmonic-oscillator run")
-    ho.add_argument("--omega", type=float, default=1.0)
-    ho.add_argument("--h", type=float, default=0.7)
-    ho.add_argument("--n-steps", type=int, default=10000)
-    ho.add_argument("--y0", type=float, default=1.0)
-    ho.add_argument("--v0", type=float, default=0.0)
-    _add_common(ho)
-
-    pde = sub.add_parser("pde", help="diffusion-reaction comparison/stability")
-    pde.add_argument("--study", choices=("compare", "stability"),
-                     default="compare")
-    pde.add_argument("--a", type=float, default=1.0)
-    pde.add_argument("--b", type=float, default=0.0)
-    pde.add_argument("--ic-mode", type=int, default=1)
-    pde.add_argument("--m-points", type=int, default=64)
-    pde.add_argument("--domain-length", type=float, default=None)
-    pde.add_argument("--dx", type=float, default=0.1)
-    pde.add_argument("--t-final", type=float, default=2.0)
-    pde.add_argument("--dt", type=_float_list, default=(0.01, 0.1, 1.0))
-    pde.add_argument("--methods", type=_str_list, default=None)
-    pde.add_argument("--k-mode", type=float, default=None)
-    pde.add_argument("--s-mode", type=float, default=None)
-    _add_common(pde)
-
-    ml = sub.add_parser("ml", help="Mittag-Leffler identity checks")
-    ml.add_argument("--tol", type=float, default=1e-12)
-    ml.add_argument("--alphas", type=_float_list, default=None)
-    _add_common(ml)
-
-    sig = sub.add_parser("signature", help="near-origin signature fit demo")
-    sig.add_argument("--alpha", type=float, required=True)
-    sig.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sig.add_argument("--n-samples", type=int, default=24)
-    sig.add_argument("--t-min", type=float, default=1e-4)
-    sig.add_argument("--t-max", type=float, default=1e-2)
-    sig.add_argument("--propagator", choices=("local_exp", "nonlocal_ml"),
-                     default="nonlocal_ml")
-    _add_common(sig)
-
-    lap = sub.add_parser("laplace", help="Laplace-mode BVP convergence")
-    lap.add_argument("--a", type=float, default=1.0)
-    lap.add_argument("--b", type=float, default=0.0)
-    lap.add_argument("--s", type=float, default=2.0)
-    lap.add_argument("--levels", type=int, default=4)
-    lap.add_argument("--m0", type=int, default=11)
-    lap.add_argument("--ic-mode", type=int, default=1)
-    _add_common(lap)
-
+    for command, (help_text, studies) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if len(studies) > 1:
+            p.add_argument("--study", choices=tuple(studies),
+                           default=next(iter(studies)))
+        fields = {f.name: f for kind in studies.values()
+                  for f in _SCHEMAS[kind]}
+        for key, f in fields.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           metavar=f.kind.upper(), default=argparse.SUPPRESS)
     run = sub.add_parser("run", help="run a configuration file")
     run.add_argument("config_file")
-    _add_common(run)
+    for p in sub.choices.values():
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--format", default="csv",
+                       choices=("csv", "json", "svg"),
+                       help="report format (default: csv)")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace):
-    command = args.command
-    if command == "run":
+    if args.command == "run":
         return parse_config(Path(args.config_file).read_text(encoding="utf-8"))
-
-    def keep(d: dict) -> dict:
-        return {k: v for k, v in d.items() if v is not None}
-
-    if command == "decay":
-        return build_config(ExperimentKind.DECAY_ORDER, keep({
-            "lambda": args.lam, "t_final": args.t_final, "h0": args.h0,
-            "levels": args.levels, "x0": args.x0, "schemes": args.schemes,
-        }))
-    if command == "ho":
-        return build_config(ExperimentKind.HO_EXACT, keep({
-            "omega": args.omega, "h": args.h, "n_steps": args.n_steps,
-            "y0": args.y0, "v0": args.v0,
-        }))
-    if command == "pde":
-        if args.study == "compare":
-            return build_config(ExperimentKind.PDE_COMPARE, keep({
-                "a": args.a, "b": args.b, "ic_mode": args.ic_mode,
-                "m_points": args.m_points,
-                "domain_length": args.domain_length,
-                "t_final": args.t_final, "dt": args.dt,
-                "methods": args.methods, "k_mode": args.k_mode,
-                "s_mode": args.s_mode,
-            }))
-        return build_config(ExperimentKind.PDE_STABILITY, keep({
-            "a": args.a, "b": args.b, "dx": args.dx,
-            "m_points": args.m_points, "dt": args.dt,
-            "methods": args.methods, "k_mode": args.k_mode,
-            "s_mode": args.s_mode,
-        }))
-    if command == "ml":
-        return build_config(ExperimentKind.ML_IDENTITIES, keep({
-            "tol": args.tol, "alphas": args.alphas,
-        }))
-    if command == "signature":
-        return build_config(ExperimentKind.SIGNATURE_DEMO, keep({
-            "alpha": args.alpha, "lambda": args.lam,
-            "n_samples": args.n_samples, "t_min": args.t_min,
-            "t_max": args.t_max, "propagator": args.propagator,
-        }))
-    if command == "laplace":
-        return build_config(ExperimentKind.LAPLACE_BVP, keep({
-            "a": args.a, "b": args.b, "s": args.s, "levels": args.levels,
-            "m0": args.m0, "ic_mode": args.ic_mode,
-        }))
-    raise AssertionError(f"unhandled command {command}")
+    kind = _SUBCOMMANDS[args.command][1][getattr(args, "study", None)]
+    given = {k: v for k, v in vars(args).items()
+             if k not in ("command", "study", "out", "format")}
+    return build_config(kind, {**_CLI_DEFAULTS.get(kind, {}), **given})
 
 
 def main(argv=None) -> int:

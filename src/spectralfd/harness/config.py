@@ -11,13 +11,17 @@ The format is deliberately primitive so any tool can write it:
     schemes = forward_euler, backward_euler, mickens_exact
 
 Keys are flat (sections do not namespace them); lists are comma separated.
-``parse_config`` reports every violation it finds, not just the first, each
-with its line number.  ``config_echo`` renders a validated configuration
-back to canonical text that reparses to the same configuration.
+``_SCHEMAS`` is the one declaration of every key.  The CLI generates its
+flags from it and passes their strings to ``build_config``, which converts
+and checks them with the code ``parse_config`` uses.  ``parse_config``
+reports every violation it finds, not just the first, each with its line
+number.  ``config_echo`` renders a validated configuration back to
+canonical text that reparses to the same configuration.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -222,34 +226,42 @@ def _cross_checks(kind: ExperimentKind, values: dict,
     return out
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _convert(raw: str, kind: str):
-    """Convert a raw string to the schema type; raises ValueError."""
-    if kind == "float":
-        return float(raw)
+    """Convert a raw string to the schema type; raises ValueError.
+
+    Integer text converts exactly; "6.0" and "1e3" count as integers too.
+    """
     if kind == "int":
-        as_float = float(raw)
-        if not math.isfinite(as_float) or as_float != int(as_float):
-            raise ValueError("expected an integer")
-        return int(as_float)
+        with contextlib.suppress(ValueError):
+            return int(raw)
+        with contextlib.suppress(ValueError):
+            if float(raw).is_integer():
+                return int(float(raw))
+        raise ValueError("expected an integer")
+    if kind == "float":
+        return _finite(raw)
     if kind == "str":
         return raw
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
         raise ValueError("expected a non-empty list")
     if kind == "float_list":
-        return tuple(float(item) for item in items)
+        return tuple(_finite(item) for item in items)
     if kind == "str_list":
         return tuple(items)
     raise AssertionError(f"unknown field kind {kind}")
 
 
-def _validate(kind: ExperimentKind, raw: dict[str, object],
+def _validate(kind: ExperimentKind, raw: dict[str, str],
               lines: dict[str, int]) -> ExperimentConfig:
-    """Validate raw key/value pairs against the experiment schema.
-
-    Raw values may be strings (from a config file) or already-typed values
-    (from the CLI); both paths share every check.
-    """
+    """Validate raw key/value strings against the experiment schema."""
     schema = {f.name: f for f in _SCHEMAS[kind]}
     violations: list[Violation] = []
     values: dict[str, object] = {}
@@ -261,32 +273,19 @@ def _validate(kind: ExperimentKind, raw: dict[str, object],
         if f is None:
             violations.append(Violation(lines.get(key, 0), key, "unknown key"))
             continue
-        if isinstance(value, str):
-            try:
-                value = _convert(value, f.kind)
-            except ValueError as exc:
-                violations.append(Violation(lines.get(key, 0), key, str(exc)))
-                continue
-        elif f.kind in ("float_list", "str_list") and not isinstance(value, tuple):
-            value = tuple(value)
-        elif f.kind == "float" and value is not None:
-            value = float(value)
-        if f.kind in ("float", "float_list") and value is not None:
-            numbers = value if f.kind == "float_list" else (value,)
-            if not all(map(math.isfinite, numbers)):
-                violations.append(Violation(lines.get(key, 0), key,
-                                            "must be finite"))
-                continue
-        if f.check is not None and value is not None:
-            message = f.check(value)
-            if message is not None:
-                violations.append(Violation(lines.get(key, 0), key, message))
-                continue
-        values[key] = value
+        try:
+            value = _convert(str(value), f.kind)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            message = f.check(value) if f.check else None
+        if message:
+            violations.append(Violation(lines.get(key, 0), key, message))
+        else:
+            values[key] = value
 
-    provided = set(raw) - {"experiment"}
     for f in schema.values():
-        if f.name in values or f.name in provided:
+        if f.name in raw:
             continue
         if f.required:
             violations.append(Violation(0, f.name, "required key is missing"))
@@ -355,16 +354,16 @@ def parse_config(text: str) -> ExperimentConfig:
     return _validate(kind, raw, lines)
 
 
-def build_config(kind: ExperimentKind, params: dict[str, object]) -> ExperimentConfig:
-    """Validate already-typed parameters (the CLI path)."""
+def build_config(kind: ExperimentKind, params: dict[str, str]) -> ExperimentConfig:
+    """Validate ``params``, which map each key to the string a config file
+    would hold for it (the CLI path); conversion and checks are the same.
+    A non-string value is read as its ``str()``: 0.7 as "0.7"."""
     return _validate(kind, params, {})
 
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -131,8 +131,9 @@ class MLParams:
     """Mittag-Leffler indices and evaluation control.
 
     ``alpha`` must lie in (0, 2); propagator-facing callers restrict it to
-    (0, 1] at their own boundary.  ``tol`` is the requested accuracy; see
-    ``mittag_leffler`` for the contract it sets.
+    (0, 1] at their own boundary.  ``beta`` must lie in [0.3, 2], the
+    domain the ``mittag_leffler`` contract is swept over.  ``tol`` is the
+    requested accuracy; see ``mittag_leffler`` for the contract it sets.
     """
 
     alpha: float
@@ -144,8 +145,8 @@ class MLParams:
             raise ValueError(
                 f"Mittag-Leffler order alpha must lie in (0, 2), got {self.alpha!r}"
             )
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta!r}")
+        if not (0.3 <= self.beta <= 2.0):
+            raise ValueError(f"beta must lie in [0.3, 2], got {self.beta!r}")
         if not (self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol!r}")
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from spectralfd.harness import (
     run_experiment,
 )
 from spectralfd.harness.cli import _build_parser, main
+from spectralfd.harness.config import _SCHEMAS
 from spectralfd.harness.report import UnknownColumnError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -45,6 +47,29 @@ GOLDEN_CONFIGS = {
         "experiment = laplace_bvp\na = 1.0\nb = 0.0\ns = 2.0\nlevels = 3\n"
     ),
 }
+
+
+# The subcommand that runs each experiment kind.
+SUBCOMMAND = {
+    "decay_order": ["decay"],
+    "ho_exact": ["ho"],
+    "pde_compare": ["pde", "--study", "compare"],
+    "pde_stability": ["pde", "--study", "stability"],
+    "ml_identities": ["ml"],
+    "signature_demo": ["signature"],
+    "laplace_bvp": ["laplace"],
+}
+
+
+def config_argv(text: str) -> list[str]:
+    """The subcommand and flags equal to a config document: key k becomes
+    the flag "--" + k with "_" written as "-", and keeps its value text."""
+    values = dict(tuple(part.strip() for part in line.split("=", 1))
+                  for line in text.splitlines() if line)
+    argv = list(SUBCOMMAND[values.pop("experiment")])
+    for key, value in values.items():
+        argv += ["--" + key.replace("_", "-"), value]
+    return argv
 
 
 def csv_without_timestamp(path) -> str:
@@ -122,6 +147,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config("experiment = laplace_bvp\na = 1.0\nb = 2.0\ns = 1.0\n")
         assert any(v.key == "s" for v in excinfo.value.violations)
+
+    def test_integer_text_is_exact(self):
+        text = GOLDEN_CONFIGS["ho_exact"].replace("1000", "9007199254740993")
+        assert parse_config(text).get("n_steps") == 9007199254740993
+        for value in ("1e3", "1000.0"):
+            text = GOLDEN_CONFIGS["ho_exact"].replace("1000", value)
+            assert parse_config(text).get("n_steps") == 1000
+
+    @pytest.mark.parametrize("value", ["abc", "6.5", "inf", "nan", "1e400"])
+    def test_non_integer_text_message(self, value):
+        text = GOLDEN_CONFIGS["ho_exact"].replace("1000", value)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert ([str(v) for v in excinfo.value.violations]
+                == ["line 4: n_steps: expected an integer"])
+
+    def test_build_config_takes_config_strings(self):
+        built = build_config(ExperimentKind.PDE_COMPARE, {
+            "a": "1.0", "b": "0.0", "ic_mode": "1", "m_points": "32",
+            "t_final": "10.0", "dt": "1.0, 0.1"})
+        assert built == parse_config(GOLDEN_CONFIGS["pde_compare"])
+
+    def test_build_config_reads_values_as_text(self):
+        # a number is read as the text it prints as: never truncated
+        with pytest.raises(ConfigError, match="n_steps: expected an integer"):
+            build_config(ExperimentKind.HO_EXACT,
+                         {"omega": 1.0, "h": 0.7, "n_steps": 6.5})
+        with pytest.raises(ConfigError, match="dt: could not convert"):
+            build_config(ExperimentKind.PDE_COMPARE, {
+                "a": "1", "b": "0", "ic_mode": "1", "t_final": "1",
+                "dt": (0.5,)})
 
     def test_build_config_equivalent_to_text(self):
         built = build_config(ExperimentKind.SIGNATURE_DEMO, {"alpha": 0.7})
@@ -386,6 +442,56 @@ class TestCli:
                                .replace("levels = 3", "levels = inf"))
         assert main(["run", str(config_file), "--out", str(tmp_path)]) == 2
         assert "levels: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_golden_config_as_flags(self, name, tmp_path):
+        argv = config_argv(GOLDEN_CONFIGS[name]) + ["--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (csv_without_timestamp(tmp_path / f"{name}.csv")
+                == csv_without_timestamp(GOLDEN_DIR / f"{name}.csv"))
+
+    @pytest.mark.parametrize("command", ["decay", "ho", "pde", "ml",
+                                         "signature", "laplace", "run"])
+    def test_every_schema_key_has_a_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z0-9-]+",
+                               capsys.readouterr().out))
+        keys = {f.name for kind, argv in SUBCOMMAND.items()
+                if argv[0] == command for f in _SCHEMAS[ExperimentKind(kind)]}
+        assert (flags - {"--help", "--study", "--out", "--format"}
+                == {"--" + key.replace("_", "-") for key in keys})
+
+    def test_integer_flag_accepts_float_text(self, tmp_path):
+        argv = ["decay", "--h0", "0.25", "--levels"]
+        assert main(argv + ["6", "--out", str(tmp_path / "int")]) == 0
+        assert main(argv + ["6.0", "--out", str(tmp_path / "float")]) == 0
+        assert (csv_without_timestamp(tmp_path / "int" / "decay_order.csv")
+                == csv_without_timestamp(tmp_path / "float" / "decay_order.csv"))
+
+    @pytest.mark.parametrize("study, flag", [
+        ("compare", "--dx"), ("stability", "--t-final"),
+        ("stability", "--ic-mode"), ("stability", "--domain-length"),
+    ])
+    def test_other_study_flag_rejected(self, study, flag, tmp_path, capsys):
+        argv = ["pde", "--study", study, flag, "1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        key = flag[2:].replace("-", "_")
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["signature"], "alpha: required key is missing"),
+        (["signature", "--alpha", "0.7", "--propagator", "bogus"],
+         "propagator: must be one of: local_exp, nonlocal_ml"),
+        (["ho", "--n-steps", "abc"], "n_steps: expected an integer"),
+        (["pde", "--dt", "0.1,x"], "dt: could not convert string to float"),
+    ])
+    def test_bad_flag_is_a_config_error(self, argv, message, tmp_path,
+                                        capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     def test_reused_parser_matches_fresh_parser(self, tmp_path, capsys):
         calls = [

@@ -65,6 +65,14 @@ class TestMLParams:
         with pytest.raises(ValueError):
             MLParams(alpha=alpha)
 
+    @pytest.mark.parametrize("beta", [-3.0, 0.0, 0.29, 2.01, 180.0,
+                                      math.nan, math.inf])
+    def test_beta_domain(self, beta):
+        # outside the swept [0.3, 2]: E_{1.9,-3}(-0.1) was off by 1e-9, and
+        # z = 0 hit the poles of Gamma (beta = 0) or overflowed (beta = 180)
+        with pytest.raises(ValueError, match="beta"):
+            MLParams(alpha=0.5, beta=beta)
+
     def test_tol_and_terms(self):
         with pytest.raises(ValueError):
             MLParams(alpha=0.5, tol=0.0)
@@ -177,7 +185,7 @@ class TestMittagLeffler:
             assert got == pytest.approx(1.0 / math.gamma(beta), rel=1e-12)
 
     def test_unreachable_accuracy_rejected(self):
-        # beta - alpha = 3.4: the origin singularity admits no contour at
+        # beta - alpha = 1.98: the origin singularity admits no contour at
         # the 1e-15 target that tol = 1e-12 needs
         with pytest.raises(ValueError, match="no parabolic contour"):
-            mittag_leffler(MLParams(alpha=0.1, beta=3.5), -1.0)
+            mittag_leffler(MLParams(alpha=0.02, beta=2.0), -1.0)
