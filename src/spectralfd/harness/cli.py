@@ -40,15 +40,17 @@ _DEFAULT_PLOTS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads "-5e-05" and "-.5" as negative numbers, not as option flags.
+    """Reads "-5e-05", "-.5", "-inf" and "-nan" as values, not as flags.
 
     The stock pattern only knows plain decimals, so "--b -5e-05" would fail
-    with "expected one argument".  Subparsers inherit this class.
+    with "expected one argument"; the config checks then judge the value.
+    Subparsers inherit this class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
 
 
 # Subcommand -> (help, {study: experiment kind}).  Only pde runs two

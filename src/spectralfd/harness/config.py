@@ -208,14 +208,25 @@ def _cross_checks(kind: ExperimentKind, values: dict,
     def bad(key: str, message: str) -> None:
         out.append(Violation(lines.get(key, 0), key, message))
 
-    if kind is ExperimentKind.HO_EXACT:
+    def divides(step: float) -> bool:
+        ratio = values["t_final"] / step if step > 0.0 else math.inf
+        return (math.isfinite(ratio) and round(ratio) >= 1
+                and abs(ratio - round(ratio)) <= 1e-9)
+
+    if kind is ExperimentKind.DECAY_ORDER:
+        # the run's steps h0 / 2**i; unlike 2**i, ldexp cannot overflow, and
+        # a huge `levels` stops at the first step that underflows to 0
+        for i in range(values["levels"]):
+            h = math.ldexp(values["h0"], -i)
+            if not divides(h):
+                bad("h0", f"step {h!r} does not divide t_final")
+                break
+    elif kind is ExperimentKind.HO_EXACT:
         if values["omega"] * values["h"] / 2.0 >= math.pi:
             bad("h", "omega*h/2 must stay below pi")
     elif kind is ExperimentKind.PDE_COMPARE:
         for dt in values["dt"]:
-            ratio = values["t_final"] / dt
-            if (not math.isfinite(ratio) or round(ratio) < 1
-                    or abs(ratio - round(ratio)) > 1e-9):
+            if not divides(dt):
                 bad("dt", f"entry {dt!r} does not divide t_final")
     elif kind is ExperimentKind.SIGNATURE_DEMO:
         if values["t_max"] <= values["t_min"]:

@@ -1,4 +1,4 @@
-"""Gamma and Mittag-Leffler evaluation in double precision.
+"""Mittag-Leffler evaluation in double precision.
 
 E_{alpha,beta}(z) = sum_{k>=0} z**k / Gamma(alpha*k + beta) generalizes the
 exponential (alpha = beta = 1) and underlies every relaxation propagator and
@@ -16,9 +16,9 @@ pair for z < 0 when alpha > 1.
 
 The contour error is absolute, about eps = max(tol/1000, 1e-15): the
 contract stated on ``mittag_leffler`` floors |E| at 1e-2, and a factor 10
-is margin.  z = 0 (1/Gamma(beta)) and
-alpha = beta = 1 (exp(z), whose tiny negative-axis values an absolute error
-would swamp) are exact shortcuts.  A value past the double range raises
+is margin.  z = 0 (1/Gamma(beta), from ``math.gamma``) and alpha = beta = 1
+(exp(z), whose tiny negative-axis values an absolute error would swamp) are
+shortcuts.  A value past the double range raises
 ``OverflowError`` naming alpha, beta and z (the residue exp(z**(1/alpha))
 does this at alpha = 0.3 from z = 8 on).
 """
@@ -36,94 +36,9 @@ import numpy as np
 
 __all__ = [
     "MLParams",
-    "GammaPoleError",
-    "gamma",
     "mittag_leffler",
     "ml",
 ]
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
-
-
-# Gamma(x) overflows IEEE double just above this argument.
-_GAMMA_OVERFLOW = 171.624376956302725
-
-# Lanczos coefficients, g = 607/128, after Godfrey; fractional error of the
-# reconstructed Gamma is below 1e-13 on the positive axis.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos_positive(x: float) -> float:
-    """Gamma(x) for x >= 0.5 via the Lanczos sum."""
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (x - 1.0 + i)
-    t = x - 0.5 + _LANCZOS_G
-    # t**(x-0.5) through pow keeps the large-argument relative error at a
-    # few ulp; exp(log(...)) would amplify it by the exponent size.
-    return _SQRT_TWO_PI * t ** (x - 0.5) * math.exp(-t) * acc
-
-
-def gamma(x: float) -> float:
-    """Gamma function for real ``x`` away from the poles.
-
-    Exact factorial shortcut for small integer arguments, Lanczos
-    approximation for x >= 0.5, and the reflection formula below that.
-
-    Raises
-    ------
-    GammaPoleError
-        If ``x`` is zero or a negative integer.
-    OverflowError
-        If Gamma(x) exceeds the double range (x > ~171.62).
-    """
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"gamma argument must be finite, got {x}")
-    if x <= 0.0 and x == math.floor(x):
-        raise GammaPoleError(f"gamma has a pole at {x:g}")
-    if x > _GAMMA_OVERFLOW:
-        raise OverflowError(f"gamma({x:g}) exceeds the double range")
-    if x == math.floor(x) and x > 0.0:
-        # Exact for n! <= 2**53, correctly rounded by float() beyond that.
-        return float(math.factorial(int(x) - 1))
-    if x >= 0.5:
-        return _lanczos_positive(x)
-    # Reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x).
-    s = _sin_pi(x)
-    value = math.pi / (s * _lanczos_positive(1.0 - x))
-    if math.isinf(value):
-        raise OverflowError(f"gamma({x:g}) exceeds the double range")
-    return value
-
-
-def _sin_pi(x: float) -> float:
-    """sin(pi*x) computed from the reduced argument, accurate near integers."""
-    n = math.floor(x + 0.5)
-    r = x - n
-    s = math.sin(math.pi * r)
-    return -s if (int(n) & 1) else s
 
 
 @dataclass(frozen=True)
@@ -293,7 +208,7 @@ def mittag_leffler(params: MLParams, z: float) -> float:
         raise ValueError(f"argument must be finite, got {z}")
     alpha, beta = params.alpha, params.beta
     if z == 0.0:
-        return 1.0 / gamma(beta) if beta != 1.0 else 1.0
+        return 1.0 / math.gamma(beta)
     if alpha == 1.0 and beta == 1.0:
         if z > _LOG_DOUBLE_MAX:
             raise _overflow(alpha, beta, z)

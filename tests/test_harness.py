@@ -412,6 +412,36 @@ class TestCli:
         assert main(["pde", "--dt", "-1e-3", "--out", str(tmp_path)]) == 2
         assert "dt: entries must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["pde", "--b", "-inf"],
+                                      ["laplace", "--b", "-Infinity"],
+                                      ["pde", "--b", "-nan"]])
+    def test_negative_non_finite_flags_are_values(self, argv, tmp_path,
+                                                  capsys):
+        # read as a value, so the config check names it, not argparse
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "config error: b: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("h0, step", [
+        ("0.3", "0.3"), ("0.4", "0.4"),
+        # 1/h0 is 3 within 3e-12, but that gap doubles with every halving
+        ("0.333333333333", "0.0006510416666660157"),
+    ])
+    def test_decay_step_not_dividing_t_final(self, h0, step, tmp_path,
+                                             capsys):
+        argv = ["decay", "--h0", h0, "--levels", "10", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert (f"config error: h0: step {step} does not divide t_final"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    def test_decay_step_check_in_config_file(self, tmp_path, capsys):
+        config_file = tmp_path / "decay.cfg"
+        config_file.write_text(GOLDEN_CONFIGS["decay_order"]
+                               .replace("h0 = 0.125", "h0 = 0.3"))
+        assert main(["run", str(config_file), "--out", str(tmp_path)]) == 2
+        assert ("config error: line 4: h0: step 0.3 does not divide t_final"
+                in capsys.readouterr().err)
+
     def test_modal_grid_above_former_cap(self, tmp_path):
         assert main(["pde", "--m-points", "8192", "--methods",
                      "spectral_modal", "--out", str(tmp_path)]) == 0

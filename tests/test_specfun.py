@@ -1,15 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from spectralfd.specfun import (
-    GammaPoleError,
-    MLParams,
-    gamma,
-    mittag_leffler,
-    ml,
-)
+from spectralfd.specfun import MLParams, mittag_leffler, ml
 
 from oracles import ml_half_oracle, ml_oracle
 
@@ -19,40 +14,6 @@ SWEEP_ALPHAS = [round(0.1 * i, 1) for i in range(1, 20)]
 SWEEP_BETAS = (0.3, 0.5, 1.0, 2.0)
 SWEEP_Z = (-50.0, -40.0, -30.0, -20.0, -15.0, -10.0, -6.0, -3.0, -1.0, -0.3,
            0.3, 1.0, 3.0, 6.0, 10.0)
-
-
-class TestGamma:
-    def test_small_integers_exact(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(5.0) == 24.0
-        assert gamma(2.0) == 1.0
-        assert gamma(11.0) == float(math.factorial(10))
-
-    def test_half(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_accuracy_against_libm(self):
-        # libm gamma is the independent oracle here
-        for x in np.linspace(0.1, 50.0, 997):
-            ref = math.gamma(float(x))
-            assert gamma(float(x)) == pytest.approx(ref, rel=1e-13)
-
-    def test_reflection_negative_arguments(self):
-        for x in (-0.5, -1.5, -3.7, -10.2):
-            assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0])
-    def test_pole_raises(self, x):
-        with pytest.raises(GammaPoleError):
-            gamma(x)
-
-    def test_overflow_signaled(self):
-        with pytest.raises(OverflowError):
-            gamma(172.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            gamma(float("nan"))
 
 
 class TestMLParams:
@@ -84,6 +45,15 @@ class TestMittagLeffler:
 
     def test_zero_argument(self):
         assert ml(0.7, 0.0) == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.9])
+    def test_zero_argument_is_reciprocal_gamma(self, alpha):
+        # E_{alpha,beta}(0) = 1/Gamma(beta) over the whole beta domain
+        for beta in np.linspace(0.3, 2.0, 171):
+            beta = float(beta)
+            got = mittag_leffler(MLParams(alpha=alpha, beta=beta), 0.0)
+            assert got == 1.0 / math.gamma(beta)
+            assert got == pytest.approx(float(mpmath.rgamma(beta)), rel=2e-15)
 
     def test_half_order_against_erfc_oracle(self):
         # E_{1/2}(-1) = e * erfc(1) = 0.42758357615580705
