@@ -84,6 +84,11 @@ class ExperimentConfig:
 
 # --- field schemas ---------------------------------------------------------
 
+# The most points one array of a run may hold (512 MiB of float64): far
+# above every shipped config, far below what would exhaust memory or run
+# for hours.
+MAX_ARRAY_POINTS = 2**26
+
 _SCHEME_NAMES = ("forward_euler", "backward_euler", "mickens_exact",
                  "spectral_exact")
 _PDE_METHODS = ("euler", "nsfd", "spectral_modal", "spectral_phys")
@@ -213,27 +218,54 @@ def _cross_checks(kind: ExperimentKind, values: dict,
         return (math.isfinite(ratio) and round(ratio) >= 1
                 and abs(ratio - round(ratio)) <= 1e-9)
 
+    def too_large(key: str) -> None:
+        bad(key, f"the run would hold more than {MAX_ARRAY_POINTS} points "
+                 "in one array")
+
+    def refined_too_large(base: float, levels: int) -> bool:
+        # base * 2**(levels - 1) + 1 > MAX_ARRAY_POINTS, compared in log2 so
+        # that a huge `levels` neither overflows a float nor builds a huge
+        # integer (an int-float comparison is exact)
+        return base > 0.0 and (levels - 1 > math.log2(MAX_ARRAY_POINTS - 1)
+                               - math.log2(base))
+
     if kind is ExperimentKind.DECAY_ORDER:
-        # the run's steps h0 / 2**i; unlike 2**i, ldexp cannot overflow, and
-        # a huge `levels` stops at the first step that underflows to 0
-        for i in range(values["levels"]):
-            h = math.ldexp(values["h0"], -i)
-            if not divides(h):
-                bad("h0", f"step {h!r} does not divide t_final")
-                break
+        # the finest level marches t_final / (h0 / 2**(levels - 1)) steps
+        if refined_too_large(values["t_final"] / values["h0"],
+                             values["levels"]):
+            too_large("levels")
+        else:
+            # the run's steps h0 / 2**i; unlike 2**i, ldexp cannot overflow
+            for i in range(values["levels"]):
+                h = math.ldexp(values["h0"], -i)
+                if not divides(h):
+                    bad("h0", f"step {h!r} does not divide t_final")
+                    break
     elif kind is ExperimentKind.HO_EXACT:
         if values["omega"] * values["h"] / 2.0 >= math.pi:
             bad("h", "omega*h/2 must stay below pi")
+        if values["n_steps"] + 1 > MAX_ARRAY_POINTS:
+            too_large("n_steps")
     elif kind is ExperimentKind.PDE_COMPARE:
         for dt in values["dt"]:
             if not divides(dt):
                 bad("dt", f"entry {dt!r} does not divide t_final")
+        # frames: (t_final / min(dt) + 1) x m_points
+        frames = values["t_final"] / min(values["dt"]) + 1.0
+        if values["m_points"] > MAX_ARRAY_POINTS / frames:
+            too_large("dt")
+    elif kind is ExperimentKind.PDE_STABILITY:
+        if values["m_points"] > MAX_ARRAY_POINTS:
+            too_large("m_points")
     elif kind is ExperimentKind.SIGNATURE_DEMO:
         if values["t_max"] <= values["t_min"]:
             bad("t_max", "must exceed t_min")
     elif kind is ExperimentKind.LAPLACE_BVP:
         if values["s"] <= values["b"]:
             bad("s", "must exceed b (decaying transform regime)")
+        # the finest grid has (m0 - 1) * 2**(levels - 1) + 1 points
+        if refined_too_large(values["m0"] - 1, values["levels"]):
+            too_large("levels")
     return out
 
 

@@ -74,19 +74,20 @@ def _run_ho_exact(p: dict):
     y1 = ode.ho_initial_from_velocity(omega, h, y0, v0)
     traj = ode.ho_exact_solve(omega, h, n_steps, y0, y1)
     y = traj.states
-    # discrete amplitude invariant, defined on interior indices
-    s = 2.0 * math.sin(omega * h)
-    invariant = y[1:-1] ** 2 + ((y[2:] - y[:-2]) / s) ** 2
     checkpoints = sorted({n for n in (1, 10, 100, 1000, 10000, n_steps)
                           if 1 <= n <= n_steps})
+    # discrete amplitude invariant, defined on interior indices; needed only
+    # at i = 1 and at the interior checkpoints
+    s = 2.0 * math.sin(omega * h)
+    i = np.array([1] + [n for n in checkpoints if n < n_steps])
+    invariant = y[i] ** 2 + ((y[i + 1] - y[i - 1]) / s) ** 2
+    drifts = dict(zip(i.tolist(), np.abs(invariant - invariant[0]).tolist()))
     rows = []
     for n in checkpoints:
         t = n * h
         exact = y0 * math.cos(omega * t) + v0 * math.sin(omega * t) / omega
-        drift = (abs(float(invariant[n - 1] - invariant[0]))
-                 if 1 <= n <= len(invariant) else None)
         rows.append((omega, h, n, float(y[n]), exact,
-                     abs(float(y[n]) - exact), drift))
+                     abs(float(y[n]) - exact), drifts.get(n)))
     return columns, rows
 
 

@@ -8,10 +8,20 @@ forms are algebraically identical - 1/(1 + rate*phi(h)) = exp(-rate*h) -
 and both reproduce the continuous solution at every grid point for every
 step size.
 
+Each family's update is x_{n+1} = x_n * factor or x_n / factor with a
+constant factor, so ``decay_solve`` marches all steps as one ufunc
+``accumulate`` over the states array.  ``accumulate`` applies the update
+strictly left to right, so the trajectory is bit-equal to repeated
+``decay_step``.
+
 The harmonic-oscillator recurrence y_{n+1} = 2*cos(omega*h)*y_n - y_{n-1}
 is the exact discrete form of y'' + omega^2 y = 0 (its denominator is the
 squared quarter-period sine measure), and conserves the discrete amplitude
-up to roundoff.
+up to roundoff.  ``ho_exact_solve`` carries the two previous values as
+Python floats and writes each new one into a preallocated array.
+
+Neither march warns on overflow: like Python float arithmetic, an unstable
+run (forward Euler with |1 - rate*h| > 1) silently reaches inf.
 
 ``order_estimate`` measures the classical observed convergence order from a
 halving sequence of step sizes against the closed-form solution, reporting
@@ -92,30 +102,43 @@ class Trajectory:
                 raise ValueError("times must increase with uniform spacing")
 
 
-def decay_step(scheme: DecayScheme, x: float) -> float:
-    """Advance one step of the decay equation under the given scheme."""
+def _update(scheme: DecayScheme) -> tuple[np.ufunc, float]:
+    """The one-step update as ``x_{n+1} = ufunc(x_n, factor)``."""
     lam, h = scheme.rate, scheme.step
     family = scheme.family
     if family is SchemeFamily.FORWARD_EULER:
-        return x * (1.0 - lam * h)
+        return np.multiply, 1.0 - lam * h
     if family is SchemeFamily.BACKWARD_EULER:
-        return x / (1.0 + lam * h)
+        return np.divide, 1.0 + lam * h
     if family is SchemeFamily.MICKENS_EXACT:
         # implicit quotient form; 1 + lam*phi collapses to exp(lam*h)
-        return x / (1.0 + lam * phi_nsfd(h, lam))
-    return x * math.exp(-lam * h)
+        return np.divide, 1.0 + lam * phi_nsfd(h, lam)
+    return np.multiply, math.exp(-lam * h)
+
+
+def decay_step(scheme: DecayScheme, x: float) -> float:
+    """Advance one step of the decay equation under the given scheme."""
+    ufunc, factor = _update(scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(ufunc(x, factor))
 
 
 def decay_solve(scheme: DecayScheme, x0: float, n_steps: int) -> Trajectory:
-    """Iterate ``decay_step`` from x0 for n_steps."""
+    """March the decay scheme from x0 for n_steps.
+
+    The states array holds x0 followed by the scheme's constant factor, and
+    one ufunc ``accumulate`` turns it in place into x_0, ..., x_n.  The
+    update runs strictly left to right, so every state is bit-equal to
+    n_steps calls of ``decay_step``.  An unstable run overflows to inf
+    without a warning, as Python float arithmetic does.
+    """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    states = np.empty(n_steps + 1)
+    ufunc, factor = _update(scheme)
+    states = np.full(n_steps + 1, factor)
     states[0] = x0
-    x = x0
-    for i in range(n_steps):
-        x = decay_step(scheme, x)
-        states[i + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        ufunc.accumulate(states, out=states)
     times = np.arange(n_steps + 1) * scheme.step
     return Trajectory(times=times, states=states, scheme=scheme)
 
@@ -133,6 +156,11 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
     With y0 = 1 and y1 = cos(omega*h) the output is cos(n*omega*h) up to
     roundoff accumulation.  Requires omega*h/2 < pi (first zero of the
     quarter-period sine measure).
+
+    The two previous values are carried as Python floats, so no numpy
+    scalar is formed per step; each new value is written into a
+    preallocated array.  Overflow gives inf or nan without a warning, as
+    Python float arithmetic does.
     """
     if not (omega > 0.0):
         raise ValueError(f"frequency must be positive, got {omega!r}")
@@ -148,8 +176,10 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
     states = np.empty(n_steps + 1)
     states[0] = y0
     states[1] = y1
-    for n in range(1, n_steps):
-        states[n + 1] = c * states[n] - states[n - 1]
+    prev, cur = states[:2].tolist()
+    for n in range(2, n_steps + 1):
+        prev, cur = cur, c * cur - prev
+        states[n] = cur
     times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=states,
                       scheme=("harmonic_exact", omega, h))

@@ -3,8 +3,8 @@
 Everything here is deliberately built from primitives unrelated to the
 implementation paths it checks: libm special functions, mpmath series in
 extended precision, dense matrix application, a naive O(M^2) discrete
-Fourier transform, per-mode Fourier symbols and sine-mode closed forms, and
-bisection.
+Fourier transform, per-mode Fourier symbols and sine-mode closed forms,
+bisection, and the plain one-step-at-a-time loops of the ODE marches.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 
 import mpmath
 import numpy as np
+
+from spectralfd.denominators import phi_nsfd
 
 
 def ml_half_oracle(t: float) -> float:
@@ -166,6 +168,48 @@ def sine_mode_laplace(m: int, mode: int, a: float, b: float, s: float,
     u0[0] = u0[-1] = 0.0
     sin2 = math.sin(math.pi * mode / (2 * n1)) ** 2
     return u0, u0 / (4.0 * a * sin2 / psi2 + s - b)
+
+
+def decay_scalar_states(scheme, x0: float, n_steps: int) -> np.ndarray:
+    """States 0..n_steps of a decay scheme, one Python-float step at a time.
+
+    Each family's one-step update is written out and iterated in a plain
+    loop: the reference a vectorised march must match bit for bit.
+    """
+    lam, h = scheme.rate, scheme.step
+    family = scheme.family.value
+
+    def step(x: float) -> float:
+        if family == "forward_euler":
+            return x * (1.0 - lam * h)
+        if family == "backward_euler":
+            return x / (1.0 + lam * h)
+        if family == "mickens_exact":
+            return x / (1.0 + lam * phi_nsfd(h, lam))
+        return x * math.exp(-lam * h)
+
+    states = np.empty(n_steps + 1)
+    states[0] = x0
+    x = x0
+    for i in range(n_steps):
+        x = step(x)
+        states[i + 1] = x
+    return states
+
+
+def ho_indexed_states(omega: float, h: float, n_steps: int, y0: float,
+                      y1: float) -> np.ndarray:
+    """The exact oscillator recurrence y_{n+1} = 2 cos(omega h) y_n - y_{n-1},
+    every operand read from and written back to the states array (numpy
+    scalar arithmetic; its overflow warnings are silenced)."""
+    c = 2.0 * math.cos(omega * h)
+    states = np.empty(n_steps + 1)
+    states[0] = y0
+    states[1] = y1
+    with np.errstate(all="ignore"):
+        for n in range(1, n_steps):
+            states[n + 1] = c * states[n] - states[n - 1]
+    return states
 
 
 def bisect(f, lo: float, hi: float, tol: float = 1e-14,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from spectralfd import ode_schemes
 from spectralfd.harness import (
     ConfigError,
     ExperimentKind,
@@ -149,8 +150,10 @@ class TestParseConfig:
         assert any(v.key == "s" for v in excinfo.value.violations)
 
     def test_integer_text_is_exact(self):
-        text = GOLDEN_CONFIGS["ho_exact"].replace("1000", "9007199254740993")
-        assert parse_config(text).get("n_steps") == 9007199254740993
+        # a key with no size limit: n_steps this large is now rejected
+        text = GOLDEN_CONFIGS["pde_compare"].replace("ic_mode = 1",
+                                                     "ic_mode = 9007199254740993")
+        assert parse_config(text).get("ic_mode") == 9007199254740993
         for value in ("1e3", "1000.0"):
             text = GOLDEN_CONFIGS["ho_exact"].replace("1000", value)
             assert parse_config(text).get("n_steps") == 1000
@@ -313,6 +316,28 @@ class TestExperimentSemantics:
         for row in report.rows:
             assert row[5] <= 1e-10  # abs_err at every checkpoint
 
+    @pytest.mark.parametrize("n_steps", [2, 10, 10**4])
+    @pytest.mark.parametrize("omega, h, y0, v0", [(1.0, 0.7, 1.0, 0.0),
+                                                  (2.3, 0.05, -0.4, 1.7)])
+    def test_ho_energy_drift_matches_full_invariant(self, n_steps, omega, h,
+                                                    y0, v0):
+        report = run_experiment(build_config(ExperimentKind.HO_EXACT, {
+            "omega": omega, "h": h, "n_steps": n_steps, "y0": y0, "v0": v0}))
+        y = ode_schemes.ho_exact_solve(
+            omega, h, n_steps, y0,
+            ode_schemes.ho_initial_from_velocity(omega, h, y0, v0)).states
+        # the invariant over the whole trajectory, on interior indices
+        s = 2.0 * math.sin(omega * h)
+        invariant = y[1:-1] ** 2 + ((y[2:] - y[:-2]) / s) ** 2
+        checkpoints = report.column("n")
+        assert checkpoints[-1] == n_steps
+        for n, drift in zip(checkpoints, report.column("energy_drift")):
+            if n == n_steps:
+                assert drift is None
+            else:
+                assert type(drift) is float
+                assert drift == abs(float(invariant[n - 1] - invariant[0]))
+
     def test_pde_stability_cells_are_python_scalars(self):
         # the CSV writes a bool as true/false but an np.bool_ as True/False
         report = run_experiment(parse_config(GOLDEN_CONFIGS["pde_stability"]))
@@ -441,6 +466,22 @@ class TestCli:
         assert main(["run", str(config_file), "--out", str(tmp_path)]) == 2
         assert ("config error: line 4: h0: step 0.3 does not divide t_final"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, key", [
+        (["decay", "--levels", "40"], "levels"),
+        # a `levels` far past any float, as integer text
+        (["decay", "--levels", "1" + "0" * 400], "levels"),
+        (["laplace", "--levels", "40"], "levels"),
+        (["ho", "--n-steps", "1e12"], "n_steps"),
+        (["pde", "--m-points", "1e9"], "dt"),
+        (["pde", "--study", "stability", "--m-points", "1e9"], "m_points"),
+    ])
+    def test_oversized_run_is_a_config_error(self, argv, key, tmp_path,
+                                             capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert (f"config error: {key}: the run would hold more than "
+                f"{2**26} points in one array") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_modal_grid_above_former_cap(self, tmp_path):
         assert main(["pde", "--m-points", "8192", "--methods",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from spectralfd.ode_schemes import (
     ho_initial_from_velocity,
     order_estimate,
 )
+
+from oracles import decay_scalar_states, ho_indexed_states
 
 
 def scheme(family, rate=1.0, step=0.1):
@@ -154,6 +157,55 @@ class TestHarmonicOscillator:
     def test_needs_two_steps(self):
         with pytest.raises(ValueError):
             ho_exact_solve(1.0, 0.1, 1, 1.0, 1.0)
+
+
+def silent(march, *args):
+    """Run a march with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return march(*args)
+
+
+class TestMarchesMatchScalarLoops:
+    """The vectorised marches are byte-equal to the plain scalar loops."""
+
+    @pytest.mark.parametrize("family", list(SchemeFamily))
+    def test_decay_solve(self, family):
+        reached_inf = reached_zero = False
+        for rate, step in [(1.0, 0.1), (0.7, 0.37), (2.5, 0.8), (1e-3, 1e-4),
+                           (1.0, 1.0),    # forward Euler factor 0
+                           (30.0, 0.1),   # forward Euler factor -2: to inf
+                           (50.0, 1.0)]:  # underflows to 0
+            for x0 in (1.0, -2.5, 0.0, 1e300, 3):
+                for n_steps in (1, 3, 1100):
+                    s = scheme(family, rate, step)
+                    expected = decay_scalar_states(s, x0, n_steps)
+                    traj = silent(decay_solve, s, x0, n_steps)
+                    assert traj.states.dtype == np.float64
+                    assert traj.states.tobytes() == expected.tobytes()
+                    one = silent(decay_step, s, x0)
+                    assert np.float64(one).tobytes() == expected[1].tobytes()
+                    reached_inf |= bool(np.isinf(expected).any())
+                    reached_zero |= x0 != 0.0 and expected[-1] == 0.0
+        if family is SchemeFamily.FORWARD_EULER:
+            assert reached_inf
+        assert reached_zero
+        s = scheme(family, 1.0, 1e-5)
+        assert (silent(decay_solve, s, 1.0, 10**5).states.tobytes()
+                == decay_scalar_states(s, 1.0, 10**5).tobytes())
+
+    @pytest.mark.parametrize("omega, h", [
+        (1.0, 0.7), (1.0, 1e-3), (3.0, 2.0), (1e-8, 1.0),
+        (1.0, math.nextafter(2.0 * math.pi, 0.0)),  # omega*h/2 just under pi
+    ])
+    def test_ho_exact_solve(self, omega, h):
+        starts = [(1.0, math.cos(omega * h)), (-2.0, 0.5), (0.0, 0.0),
+                  (0.0, 1e-300), (1e308, -1e308)]  # the last overflows
+        for i, (y0, y1) in enumerate(starts):
+            for n_steps in (2, 3, 1000) + ((10**5,) if i == 0 else ()):
+                expected = ho_indexed_states(omega, h, n_steps, y0, y1)
+                traj = silent(ho_exact_solve, omega, h, n_steps, y0, y1)
+                assert traj.states.tobytes() == expected.tobytes()
 
 
 class TestOrderEstimate:
