@@ -89,6 +89,11 @@ class ExperimentConfig:
 # for hours.
 MAX_ARRAY_POINTS = 2**26
 
+# The most samples a signature_demo run may take.  Each is one
+# Mittag-Leffler evaluation, so this bounds work rather than memory: about
+# half a second of evaluations.
+MAX_SIGNATURE_SAMPLES = 10_000
+
 _SCHEME_NAMES = ("forward_euler", "backward_euler", "mickens_exact",
                  "spectral_exact")
 _PDE_METHODS = ("euler", "nsfd", "spectral_modal", "spectral_phys")
@@ -185,7 +190,8 @@ _SCHEMAS: dict[ExperimentKind, tuple[Field, ...]] = {
         Field("alpha", "float", required=True, check=_unit_interval),
         Field("lambda", "float", default=1.0, check=_positive),
         Field("n_samples", "int", default=24,
-              check=lambda v: None if v >= 8 else "must be >= 8"),
+              check=lambda v: None if 8 <= v <= MAX_SIGNATURE_SAMPLES
+              else f"must lie in [8, {MAX_SIGNATURE_SAMPLES}]"),
         Field("t_min", "float", default=1e-4, check=_positive),
         Field("t_max", "float", default=1e-2, check=_positive),
         Field("propagator", "str", default="nonlocal_ml",

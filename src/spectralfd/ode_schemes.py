@@ -80,11 +80,10 @@ class DecayScheme:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled scalar states with the scheme that produced them."""
+    """Uniformly sampled scalar states."""
 
     times: np.ndarray
     states: np.ndarray
-    scheme: object
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -140,7 +139,7 @@ def decay_solve(scheme: DecayScheme, x0: float, n_steps: int) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         ufunc.accumulate(states, out=states)
     times = np.arange(n_steps + 1) * scheme.step
-    return Trajectory(times=times, states=states, scheme=scheme)
+    return Trajectory(times=times, states=states)
 
 
 def ho_initial_from_velocity(omega: float, h: float, y0: float,
@@ -181,8 +180,7 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
         prev, cur = cur, c * cur - prev
         states[n] = cur
     times = np.arange(n_steps + 1) * h
-    return Trajectory(times=times, states=states,
-                      scheme=("harmonic_exact", omega, h))
+    return Trajectory(times=times, states=states)
 
 
 class OrderSample(NamedTuple):

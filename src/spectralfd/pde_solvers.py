@@ -1,11 +1,12 @@
 """Solvers for u_t = a*u_xx + b*u on a 1-D grid.
 
-The explicit schemes share one update, ``step``:
+The explicit schemes share one update, ``step``: the three-point stencil
 
-    new = u + phi * (a * D2 u / psi2 + b * u)
+    new[m] = c0 * u[m] + c1 * (u[m+1] + u[m-1])
 
-with D2 the standard second difference.  They differ only in the
-denominator pair (phi, psi2) the solver kind selects:
+with weights c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1, which is
+u + phi * (a * D2 u / psi2 + b * u) regrouped.  The kinds differ only in
+the denominator pair (phi, psi2) the weights come from:
 
 * ``EulerStd``     - phi = dt, psi2 = dx**2,
 * ``Nsfd``         - phi and psi2 from the exact physical-space
@@ -13,11 +14,11 @@ denominator pair (phi, psi2) the solver kind selects:
 * ``SpectralPhys`` - phi and psi2 from transform space, carrying a chosen
   Fourier mode k and Laplace mode s.
 
-With a = 0 the diffusion term drops out for every kind, and psi2 is never
-formed.  ``evolve`` marches in place through one preallocated frames array
-with the same whole-array kernel as ``step``.  ``amplification_factor``
-reports the per-step multiplier (Fourier symbol) a kind applies to each
-spatial mode, the basic stability diagnostic, from the same pair.
+With a = 0 the weight c1 is 0 for every kind, and psi2 is never formed.
+``evolve`` marches in place through one preallocated frames array with the
+same whole-array kernel as ``step``.  ``amplification_factor`` reports the
+stencil's symbol c0 + 2 c1 cos(k dx), the per-step multiplier a kind
+applies to each spatial mode and the basic stability diagnostic.
 
 ``evolve_modal`` instead multiplies every Fourier mode of a periodic frame
 by its exact growth factor exp((b - a*k^2)*t), which makes the evolution
@@ -181,53 +182,53 @@ def _apply_boundary(frame: np.ndarray, boundary: Boundary) -> np.ndarray:
     return frame
 
 
-def _denominators(kind: SolverKind, problem: PDEProblem,
-                  grid: Grid1D) -> tuple[float, float | None]:
-    """The (phi, psi2) pair of an explicit solver kind.
+def _weights(kind: SolverKind, problem: PDEProblem,
+             grid: Grid1D) -> tuple[float, float]:
+    """The stencil weights (c0, c1) of an explicit solver kind:
+    c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1 from its (phi, psi2).
 
-    psi2 is None when a == 0: the diffusion term drops out, and the
-    physical and spectral space denominators are undefined there.
+    c1 is 0 when a == 0: the diffusion term drops out, and psi2 is not
+    formed, since the physical and spectral space ones are undefined there.
     """
     a, b, dx = problem.a, problem.b, grid.dx
     if isinstance(kind, EulerStd):
-        return kind.dt, dx**2
-    if isinstance(kind, Nsfd):
+        phi = kind.dt
+        c1 = phi * a / dx**2 if a > 0.0 else 0.0
+    elif isinstance(kind, Nsfd):
         phi = phi_nsfd(kind.dt, b)
-        return phi, psi2_nsfd(dx, b / a) if a > 0.0 else None
-    if isinstance(kind, SpectralPhys):
+        c1 = phi * a / psi2_nsfd(dx, b / a) if a > 0.0 else 0.0
+    elif isinstance(kind, SpectralPhys):
         phi = phi_spectral(kind.dt, a, b, kind.k)
-        return phi, psi2_spectral(dx, a, b, kind.s) if a > 0.0 else None
-    raise TypeError(f"unknown explicit solver kind {kind!r}")
+        c1 = phi * a / psi2_spectral(dx, a, b, kind.s) if a > 0.0 else 0.0
+    else:
+        raise TypeError(f"unknown explicit solver kind {kind!r}")
+    return 1.0 + phi * b - 2.0 * c1, c1
 
 
 def _advance(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
              u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Write the step of u into ``out``, using ``work`` for D2 u; neither
-    buffer may alias u.  D2 keeps the order (u[m+1] - 2 u[m]) + u[m-1]."""
-    phi, psi2 = _denominators(kind, problem, grid)
-    np.multiply(u, problem.b, out=out)
-    if problem.a > 0.0:
-        inner = work[1:-1]
-        np.multiply(u[1:-1], 2.0, out=inner)
-        np.subtract(u[2:], inner, out=inner)
-        np.add(inner, u[:-2], out=inner)
+    """Write c0 * u[m] + c1 * (u[m+1] + u[m-1]) into ``out``, using ``work``
+    for the neighbour sum; neither buffer may alias u.  Periodic edges wrap;
+    Dirichlet edges are zeroed, then overwritten with the boundary data."""
+    c0, c1 = _weights(kind, problem, grid)
+    np.multiply(u, c0, out=out)
+    if c1 != 0.0:
+        np.add(u[2:], u[:-2], out=work[1:-1])
         if isinstance(grid.boundary, Periodic):
-            work[0] = (u[1] - 2.0 * u[0]) + u[-1]
-            work[-1] = (u[0] - 2.0 * u[-1]) + u[-2]
-        else:  # Dirichlet edges are overwritten with boundary data
+            work[0] = u[1] + u[-1]
+            work[-1] = u[0] + u[-2]
+        else:
             work[0] = work[-1] = 0.0
-        np.multiply(work, problem.a, out=work)
-        np.divide(work, psi2, out=work)
-        np.add(work, out, out=out)
-    np.multiply(out, phi, out=out)
-    np.add(u, out, out=out)
+        np.multiply(work, c1, out=work)
+        np.add(out, work, out=out)
     return _apply_boundary(out, grid.boundary)
 
 
 def step(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
          frame) -> np.ndarray:
-    """One explicit step u + phi * (a * D2 u / psi2 + b * u) of any explicit
-    kind, as a new array; with a == 0 the diffusion term is dropped."""
+    """One explicit step c0 * u[m] + c1 * (u[m+1] + u[m-1]) of any explicit
+    kind, as a new array, with the kind's stencil weights
+    c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1."""
     u = np.asarray(frame, dtype=float)
     if u.shape != (grid.m_points,):
         raise ValueError(f"frame shape {u.shape} does not match grid")
@@ -343,16 +344,14 @@ def amplification_factor(kind: SolverKind, problem: PDEProblem, grid: Grid1D,
                          k: float | np.ndarray) -> float | np.ndarray:
     """Per-step multiplier the solver applies to the spatial mode with
     physical wavenumber k (a float or an ndarray) on a periodic grid: the
-    symbol 1 + phi * (b - 4 a sin^2(k dx/2) / psi2), or exp((b - a k^2) dt)
-    for ``SpectralModal``.  numpy's sin and exp can differ from ``math``'s
-    by an ulp."""
+    stencil's symbol c0 + 2 c1 cos(k dx), from the same weights as ``step``,
+    or exp((b - a k^2) dt) for ``SpectralModal``.  numpy's cos and exp can
+    differ from ``math``'s by an ulp."""
     a, b = problem.a, problem.b
     if isinstance(kind, SpectralModal):
         return np.exp((b - a * k * k) * kind.dt)
-    phi, psi2 = _denominators(kind, problem, grid)
-    sin2 = np.sin(k * grid.dx / 2.0) ** 2
-    diffusion = 4.0 * a * sin2 / psi2 if a > 0.0 else np.zeros_like(sin2)
-    return 1.0 + phi * (b - diffusion)
+    c0, c1 = _weights(kind, problem, grid)
+    return c0 + 2.0 * c1 * np.cos(k * grid.dx)
 
 
 def default_spectral_params(problem: PDEProblem, grid: Grid1D) -> tuple[float, float]:

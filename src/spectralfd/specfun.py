@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "MLParams",
     "mittag_leffler",
-    "ml",
 ]
 
 
@@ -214,8 +213,3 @@ def mittag_leffler(params: MLParams, z: float) -> float:
             raise _overflow(alpha, beta, z)
         return math.exp(z)
     return _contour(alpha, beta, z, max(params.tol / 1000.0, _MIN_EPS))
-
-
-def ml(alpha: float, z: float, tol: float = 1e-12) -> float:
-    """One-parameter Mittag-Leffler E_alpha(z), shorthand for beta = 1."""
-    return mittag_leffler(MLParams(alpha=alpha, tol=tol), z)

@@ -20,8 +20,9 @@ from spectralfd.harness import (
     parse_config,
     run_experiment,
 )
+from spectralfd.harness import cli
 from spectralfd.harness.cli import _build_parser, main
-from spectralfd.harness.config import _SCHEMAS
+from spectralfd.harness.config import MAX_SIGNATURE_SAMPLES, _SCHEMAS
 from spectralfd.harness.report import UnknownColumnError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -186,6 +187,16 @@ class TestParseConfig:
         built = build_config(ExperimentKind.SIGNATURE_DEMO, {"alpha": 0.7})
         parsed = parse_config("experiment = signature_demo\nalpha = 0.7\n")
         assert built == parsed
+
+    def test_signature_sample_bound(self):
+        for n in (8, MAX_SIGNATURE_SAMPLES):
+            built = build_config(ExperimentKind.SIGNATURE_DEMO,
+                                 {"alpha": 0.7, "n_samples": n})
+            assert built.as_dict()["n_samples"] == n
+        for n in (7, MAX_SIGNATURE_SAMPLES + 1):
+            with pytest.raises(ConfigError, match="n_samples: must lie in"):
+                build_config(ExperimentKind.SIGNATURE_DEMO,
+                             {"alpha": 0.7, "n_samples": n})
 
 
 class TestReportEmission:
@@ -481,6 +492,20 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert (f"config error: {key}: the run would hold more than "
                 f"{2**26} points in one array") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_oversized_signature_is_a_config_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # each sample is one Mittag-Leffler evaluation: a million would run
+        # for minutes, so validation must reject it before any run starts
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        argv = ["signature", "--alpha", "0.7", "--n-samples", "1000000"]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert (f"config error: n_samples: must lie in "
+                f"[8, {MAX_SIGNATURE_SAMPLES}]") in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_modal_grid_above_former_cap(self, tmp_path):

@@ -101,13 +101,12 @@ class TestDecaySolve:
 class TestTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]), states=np.array([1.0]),
-                       scheme=None)
+            Trajectory(times=np.array([0.0, 1.0]), states=np.array([1.0]))
 
     def test_nonuniform_rejected(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0, 1.0, 3.0]),
-                       states=np.array([1.0, 2.0, 3.0]), scheme=None)
+                       states=np.array([1.0, 2.0, 3.0]))
 
 
 class TestHarmonicOscillator:

@@ -367,13 +367,31 @@ class TestFourierSymbolOracle:
                 assert first_nonfinite == n_steps + 1
                 continue
             # The march stops at the oracle's first non-finite frame, or
-            # sooner only when a term inside the step (D2 u, a D2 u / psi2,
-            # phi (a D2 u / psi2 + b u)) passes the double range before the
-            # new frame does.  No term exceeds `reach` times the last frame.
+            # sooner only when a term inside the step (c0 u[m], the
+            # neighbour sum u[m+1] + u[m-1], or c1 times it) passes the
+            # double range before the new frame does.  No term exceeds
+            # `reach` times the last frame.
             reach = max(4.0, 4.0 * a, 4.0 * a / psi2 + abs(b),
                         1.0 + phi * (4.0 * a / psi2 + abs(b)))
             last = np.max(np.abs(expected[kept - 1]))
             assert last >= np.finfo(float).max / reach * (1.0 - 1e-12)
+
+    def test_blowup_keeps_the_frames_before_the_overflow(self):
+        # Nsfd at dt = 2, a = 0.3, b = -1, M = 8: the oracle stays finite
+        # through frame 2823.  The neighbour sum u[m+1] + u[m-1] of frame
+        # 2821 (max |u| about 1.02e308) passes the double range before c1
+        # scales it, so the march keeps 2822 frames.
+        m, a, b = 8, 0.3, -1.0
+        grid = periodic_grid(m=m)
+        u0 = np.random.RandomState(m).standard_normal(m)
+        problem = PDEProblem(a=a, b=b, initial_condition=u0)
+        traj = evolve(problem, grid, Nsfd(dt=2.0), 3000)
+        expected = fourier_symbol_frames(u0, a, b, phi_nsfd(2.0, b),
+                                         psi2_nsfd(grid.dx, b / a), 3000)
+        finite = np.all(np.isfinite(expected), axis=1)
+        assert int(np.argmin(finite)) == 2824
+        assert len(traj.times) == 2822
+        assert_frames_close(traj.frames, expected[:2822], rtol=1e-12)
 
 
 class TestEvolveIsRepeatedStep:
