@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -88,6 +89,10 @@ class ExperimentConfig:
 # above every shipped config, far below what would exhaust memory or run
 # for hours.
 MAX_ARRAY_POINTS = 2**26
+
+# The largest ho_exact amplitude hypot(y0, v0/omega): the report's amplitude
+# invariant squares values of this size, and must stay finite.
+MAX_OSCILLATOR_AMPLITUDE = math.sqrt(sys.float_info.max) / 2
 
 # The most samples a signature_demo run may take.  Each is one
 # Mittag-Leffler evaluation, so this bounds work rather than memory: about
@@ -252,6 +257,10 @@ def _cross_checks(kind: ExperimentKind, values: dict,
             bad("h", "omega*h/2 must stay below pi")
         if values["n_steps"] + 1 > MAX_ARRAY_POINTS:
             too_large("n_steps")
+        if math.hypot(values["y0"], values["v0"] / values["omega"]) \
+                > MAX_OSCILLATOR_AMPLITUDE:
+            bad("y0", "the amplitude hypot(y0, v0/omega) exceeds "
+                      f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
     elif kind is ExperimentKind.PDE_COMPARE:
         for dt in values["dt"]:
             if not divides(dt):
@@ -260,6 +269,16 @@ def _cross_checks(kind: ExperimentKind, values: dict,
         frames = values["t_final"] / min(values["dt"]) + 1.0
         if values["m_points"] > MAX_ARRAY_POINTS / frames:
             too_large("dt")
+        # the exact solution's amplitude, as the runner's error scale forms it
+        try:
+            k = 2.0 * math.pi * values["ic_mode"] / values["domain_length"]
+            amplitude = math.exp((values["b"] - values["a"] * k**2)
+                                 * values["t_final"])
+        except OverflowError:
+            amplitude = math.inf
+        if not 0.0 < amplitude < math.inf:
+            bad("t_final", "exp((b - a k^2) t) leaves the double range by "
+                           "t = t_final, with k = 2 pi ic_mode / domain_length")
     elif kind is ExperimentKind.PDE_STABILITY:
         if values["m_points"] > MAX_ARRAY_POINTS:
             too_large("m_points")

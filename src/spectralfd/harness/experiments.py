@@ -56,11 +56,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def _run_decay_order(p: dict):
     columns = ("scheme", "h", "error", "observed_p", "exact_flag")
     rows = []
-    h_list = ode.halving_steps(p["h0"], p["levels"])
     for name in p["schemes"]:
         family = _SCHEME_BY_NAME[name]
         for sample in ode.order_estimate(family, p["lambda"], p["x0"],
-                                         p["t_final"], h_list):
+                                         p["t_final"], p["h0"], p["levels"]):
             rows.append((name, sample.h, sample.error, sample.observed_p,
                          sample.exact))
     return columns, rows
@@ -130,7 +129,7 @@ def _run_pde_compare(p: dict):
             exact = math.exp(growth * t_end) * problem.initial_condition
             scale = float(np.max(np.abs(exact)))
             err = float(np.max(np.abs(traj.frames[-1] - exact))) / scale
-            truncated = len(traj.times) < n_steps + 1
+            truncated = len(traj.frames) < n_steps + 1
             diverged = truncated or err > DIVERGENCE_THRESHOLD
             rows.append((method, dt, grid.dx, t_end, err, diverged))
     return columns, rows

@@ -11,20 +11,21 @@ step size.
 Each family's update is x_{n+1} = x_n * factor or x_n / factor with a
 constant factor, so ``decay_solve`` marches all steps as one ufunc
 ``accumulate`` over the states array.  ``accumulate`` applies the update
-strictly left to right, so the trajectory is bit-equal to repeated
-``decay_step``.
+strictly left to right, so the trajectory is bit-equal to the plain
+one-step-at-a-time loop.
 
 The harmonic-oscillator recurrence y_{n+1} = 2*cos(omega*h)*y_n - y_{n-1}
 is the exact discrete form of y'' + omega^2 y = 0 (its denominator is the
 squared quarter-period sine measure), and conserves the discrete amplitude
 up to roundoff.  ``ho_exact_solve`` carries the two previous values as
-Python floats and writes each new one into a preallocated array.
+Python floats and writes each new one into a preallocated array.  Both
+marches are bit-equal to the scalar loops in ``tests/oracles.py``.
 
 Neither march warns on overflow: like Python float arithmetic, an unstable
 run (forward Euler with |1 - rate*h| > 1) silently reaches inf.
 
-``order_estimate`` measures the classical observed convergence order from a
-halving sequence of step sizes against the closed-form solution, reporting
+``order_estimate`` measures the classical observed convergence order over
+the steps h0, h0/2, h0/4, ... against the closed-form solution, reporting
 schemes whose error sits at the roundoff floor as exact.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,12 +45,10 @@ __all__ = [
     "DecayScheme",
     "Trajectory",
     "OrderSample",
-    "decay_step",
     "decay_solve",
     "ho_exact_solve",
     "ho_initial_from_velocity",
     "order_estimate",
-    "halving_steps",
 ]
 
 # Errors at or below this multiple of |x0| count as exact (roundoff floor).
@@ -80,25 +79,19 @@ class DecayScheme:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled scalar states."""
+    """States x_0, ..., x_n of a run with a uniform step: x_i is the state
+    at t_i = i * step."""
 
-    times: np.ndarray
+    step: float
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        if times.shape != states.shape or times.ndim != 1:
-            raise ValueError("times and states must be 1-D and equally long")
-        if len(times) >= 2:
-            steps = np.diff(times)
-            h = steps[0]
-            # spacing jitter scales with the time magnitude (ulp of t_n)
-            tol = 1e-12 * max(abs(h), float(np.max(np.abs(times))))
-            if h <= 0.0 or np.any(np.abs(steps - h) > tol):
-                raise ValueError("times must increase with uniform spacing")
+        if self.states.ndim != 1:
+            raise ValueError("states must be a 1-D array")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states)) * self.step
 
 
 def _update(scheme: DecayScheme) -> tuple[np.ufunc, float]:
@@ -115,21 +108,14 @@ def _update(scheme: DecayScheme) -> tuple[np.ufunc, float]:
     return np.multiply, math.exp(-lam * h)
 
 
-def decay_step(scheme: DecayScheme, x: float) -> float:
-    """Advance one step of the decay equation under the given scheme."""
-    ufunc, factor = _update(scheme)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(ufunc(x, factor))
-
-
 def decay_solve(scheme: DecayScheme, x0: float, n_steps: int) -> Trajectory:
     """March the decay scheme from x0 for n_steps.
 
     The states array holds x0 followed by the scheme's constant factor, and
     one ufunc ``accumulate`` turns it in place into x_0, ..., x_n.  The
     update runs strictly left to right, so every state is bit-equal to
-    n_steps calls of ``decay_step``.  An unstable run overflows to inf
-    without a warning, as Python float arithmetic does.
+    n_steps one-step updates.  An unstable run overflows to inf without a
+    warning, as Python float arithmetic does.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
@@ -138,8 +124,7 @@ def decay_solve(scheme: DecayScheme, x0: float, n_steps: int) -> Trajectory:
     states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         ufunc.accumulate(states, out=states)
-    times = np.arange(n_steps + 1) * scheme.step
-    return Trajectory(times=times, states=states)
+    return Trajectory(step=scheme.step, states=states)
 
 
 def ho_initial_from_velocity(omega: float, h: float, y0: float,
@@ -179,8 +164,7 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
     for n in range(2, n_steps + 1):
         prev, cur = cur, c * cur - prev
         states[n] = cur
-    times = np.arange(n_steps + 1) * h
-    return Trajectory(times=times, states=states)
+    return Trajectory(step=h, states=states)
 
 
 class OrderSample(NamedTuple):
@@ -190,28 +174,19 @@ class OrderSample(NamedTuple):
     exact: bool
 
 
-def halving_steps(h0: float, levels: int) -> list[float]:
-    """h0, h0/2, ..., halved ``levels`` - 1 times."""
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels!r}")
-    return [h0 / 2**i for i in range(levels)]
-
-
 def order_estimate(family: SchemeFamily, rate: float, x0: float,
-                   t_final: float, h_list: Sequence[float]) -> list[OrderSample]:
-    """Observed order of a decay scheme from a halving step sequence.
+                   t_final: float, h0: float, levels: int) -> list[OrderSample]:
+    """Observed order of a decay scheme over the steps h0 / 2**i, i < levels.
 
-    error(h) is the terminal-state deviation from x0*exp(-rate*t_final);
-    observed_p pairs consecutive levels as log2(error(h)/error(h/2)).  Rows
-    whose error sits at the roundoff floor (1e-13 * |x0|) are flagged exact
-    and excluded from order ratios.
+    Every step must divide t_final.  error(h) is the terminal-state
+    deviation from x0*exp(-rate*t_final); observed_p pairs consecutive
+    levels as log2(error(h)/error(h/2)).  Rows whose error sits at the
+    roundoff floor (1e-13 * |x0|) are flagged exact and excluded from order
+    ratios.
     """
-    h_list = list(h_list)
-    if len(h_list) < 4:
-        raise ValueError(f"need at least 4 step sizes, got {len(h_list)}")
-    for h, h_next in zip(h_list, h_list[1:]):
-        if abs(h_next - h / 2.0) > 1e-12 * h:
-            raise ValueError("h_list must be a halving sequence")
+    if levels < 4:
+        raise ValueError(f"need at least 4 levels, got {levels!r}")
+    h_list = [h0 / 2**i for i in range(levels)]
     errors = []
     exact_value = x0 * math.exp(-rate * t_final)
     for h in h_list:

@@ -153,26 +153,20 @@ SolverKind = Union[EulerStd, Nsfd, SpectralPhys, SpectralModal]
 
 @dataclass(frozen=True)
 class FieldTrajectory:
-    """Grid samples of the field at uniformly spaced times."""
+    """Grid samples of the field with a uniform time step: row n of
+    ``frames`` is the field at t_n = n * dt."""
 
     grid: Grid1D
-    times: np.ndarray
+    dt: float
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        frames = np.asarray(self.frames, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "frames", frames)
-        if frames.ndim != 2 or frames.shape[0] != len(times):
-            raise ValueError("frames must be one row per time")
-        if frames.shape[1] != self.grid.m_points:
-            raise ValueError("frame length must match the grid")
-        if len(times) >= 2:
-            steps = np.diff(times)
-            tol = 1e-12 * max(abs(steps[0]), float(np.max(np.abs(times))))
-            if np.any(np.abs(steps - steps[0]) > tol):
-                raise ValueError("times must be uniformly spaced")
+        if self.frames.ndim != 2 or self.frames.shape[1] != self.grid.m_points:
+            raise ValueError("frames must be 2-D with one column per grid point")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.frames)) * self.dt
 
 
 def _apply_boundary(frame: np.ndarray, boundary: Boundary) -> np.ndarray:
@@ -260,8 +254,7 @@ def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
             if not np.isfinite(frames[n + 1]).all():
                 frames = frames[: n + 1].copy()  # frees the unused tail
                 break
-    times = np.arange(len(frames)) * kind.dt
-    return FieldTrajectory(grid=grid, times=times, frames=frames)
+    return FieldTrajectory(grid=grid, dt=kind.dt, frames=frames)
 
 
 def grid_wavenumbers(grid: Grid1D) -> np.ndarray:
@@ -293,7 +286,7 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
     spectrum = np.fft.rfft(problem.initial_condition)
     frames = np.fft.irfft(spectrum * np.exp(np.outer(times, growth)), n=m)
     frames[0] = problem.initial_condition
-    return FieldTrajectory(grid=grid, times=times, frames=frames)
+    return FieldTrajectory(grid=grid, dt=dt, frames=frames)
 
 
 def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,

@@ -170,6 +170,16 @@ def sine_mode_laplace(m: int, mode: int, a: float, b: float, s: float,
     return u0, u0 / (4.0 * a * sin2 / psi2 + s - b)
 
 
+def conformable_step_oracle(rate: float, order: float, t_n: float,
+                            t_np1: float) -> float:
+    """The conformable exact step measure -expm1(-rate * dz) / rate with
+    dz = t_np1**order - t_n**order, in 60-digit mpmath at the exact doubles
+    passed in, rounded to double."""
+    with mpmath.workdps(60):
+        dz = mpmath.mpf(t_np1) ** order - mpmath.mpf(t_n) ** order
+        return float(-mpmath.expm1(-rate * dz) / rate)
+
+
 def decay_scalar_states(scheme, x0: float, n_steps: int) -> np.ndarray:
     """States 0..n_steps of a decay scheme, one Python-float step at a time.
 

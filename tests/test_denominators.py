@@ -14,6 +14,8 @@ from spectralfd.denominators import (
 )
 from spectralfd.propagators import local_propagator, nonlocal_propagator
 
+from oracles import conformable_step_oracle
+
 
 class TestPhiNsfd:
     def test_zero_rate_is_step(self):
@@ -180,6 +182,36 @@ class TestMuExactStep:
         for kind in ExactStepKind:
             for order in (0.4, 0.8, 1.0):
                 assert mu_exact_step(kind, 1.3, order, 0.7, 0.9) > 0.0
+
+    def test_conformable_small_steps_match_oracle(self):
+        # t_np1**order - t_n**order cancels as the step shrinks; the measure
+        # must not
+        worst = 0.0
+        for order in (0.3, 0.5, 0.75, 0.95, 1.0):
+            for t_n in (0.0, 0.1, 1.0, 3.0, 20.0):
+                for dt in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+                    t_np1 = t_n + dt
+                    for rate in (0.5, 1.0, 3.0):
+                        mu = mu_exact_step(ExactStepKind.CONFORMABLE, rate,
+                                           order, t_n, t_np1)
+                        oracle = conformable_step_oracle(rate, order, t_n,
+                                                         t_np1)
+                        worst = max(worst, abs(mu - oracle) / oracle)
+        assert worst <= 1e-14
+
+    def test_conformable_large_step_ratios_match_oracle(self):
+        # t_np1 / t_n up to far past the double range
+        worst = 0.0
+        for order in (0.01, 0.1, 0.5, 0.95, 1.0):
+            for t_n in (1e-300, 1e-20, 1e-3, 0.5):
+                for t_np1 in (1.0, 1e6, 1e100, 1e300):
+                    for rate in (1e-3, 1.0):
+                        mu = mu_exact_step(ExactStepKind.CONFORMABLE, rate,
+                                           order, t_n, t_np1)
+                        oracle = conformable_step_oracle(rate, order, t_n,
+                                                         t_np1)
+                        worst = max(worst, abs(mu - oracle) / oracle)
+        assert worst <= 1e-14
 
     def test_stepping_reproduces_local_propagator(self):
         rate, order = 0.8, 0.6

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,11 @@ from spectralfd.harness import (
 )
 from spectralfd.harness import cli
 from spectralfd.harness.cli import _build_parser, main
-from spectralfd.harness.config import MAX_SIGNATURE_SAMPLES, _SCHEMAS
+from spectralfd.harness.config import (
+    MAX_OSCILLATOR_AMPLITUDE,
+    MAX_SIGNATURE_SAMPLES,
+    _SCHEMAS,
+)
 from spectralfd.harness.report import UnknownColumnError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -151,9 +156,9 @@ class TestParseConfig:
         assert any(v.key == "s" for v in excinfo.value.violations)
 
     def test_integer_text_is_exact(self):
-        # a key with no size limit: n_steps this large is now rejected
-        text = GOLDEN_CONFIGS["pde_compare"].replace("ic_mode = 1",
-                                                     "ic_mode = 9007199254740993")
+        # a key with no size limit: n_steps this large is now rejected, and
+        # so is a pde_compare ic_mode whose exact solution underflows
+        text = GOLDEN_CONFIGS["laplace_bvp"] + "ic_mode = 9007199254740993\n"
         assert parse_config(text).get("ic_mode") == 9007199254740993
         for value in ("1e3", "1000.0"):
             text = GOLDEN_CONFIGS["ho_exact"].replace("1000", value)
@@ -423,7 +428,7 @@ class TestCli:
         config_file = tmp_path / "abort.cfg"
         config_file.write_text(
             "experiment = pde_compare\na = 1.0\nb = 1000.0\nic_mode = 1\n"
-            "m_points = 8\ndomain_length = 4.0\nt_final = 1.0\ndt = 0.5\n"
+            "m_points = 8\ndomain_length = 4.0\nt_final = 0.5\ndt = 0.5\n"
             "methods = nsfd\n"
         )
         assert main(["run", str(config_file), "--out", str(tmp_path)]) == 3
@@ -507,6 +512,61 @@ class TestCli:
         assert (f"config error: n_samples: must lie in "
                 f"[8, {MAX_SIGNATURE_SAMPLES}]") in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["pde", "--ic-mode", "20"],      # exp(-800) underflows to 0
+        ["pde", "--a", "0", "--b", "400"],  # exp(800) overflows
+        ["pde", "--ic-mode", "1" + "0" * 400],  # k is past any float
+    ])
+    def test_exact_solution_out_of_range_is_a_config_error(
+            self, argv, tmp_path, capsys, monkeypatch):
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert ("config error: t_final: exp((b - a k^2) t) leaves the double "
+                "range") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_subnormal_exact_solution_still_runs(self, tmp_path):
+        # exp(-720) is subnormal, not 0: the error scale stays defined
+        assert main(["pde", "--ic-mode", "19", "--out", str(tmp_path)]) == 0
+        assert len(csv_rows(tmp_path / "pde_compare.csv")) == 9
+
+    @pytest.mark.parametrize("argv", [
+        ["ho", "--y0", "1e155", "--n-steps", "1000"],
+        ["ho", "--y0", "1e308", "--v0", "1e308"],
+    ])
+    def test_oscillator_amplitude_is_bounded(self, argv, tmp_path, capsys,
+                                             monkeypatch):
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert ("config error: y0: the amplitude hypot(y0, v0/omega) exceeds"
+                in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("y0, v0, omega", [
+        (MAX_OSCILLATOR_AMPLITUDE, 0.0, 1.0),
+        (-MAX_OSCILLATOR_AMPLITUDE, 0.0, 1.0),
+        (0.0, 3.0 * MAX_OSCILLATOR_AMPLITUDE, 3.0),
+    ])
+    def test_oscillator_at_the_amplitude_bound_is_finite(self, y0, v0, omega,
+                                                         tmp_path):
+        argv = ["ho", "--omega", repr(omega), "--y0", repr(y0), "--v0",
+                repr(v0), "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        rows = csv_rows(tmp_path / "ho_exact.csv")
+        assert len(rows) == 5
+        for row in rows:
+            for column in ("y_value", "exact", "abs_err", "energy_drift"):
+                if row[column]:
+                    assert math.isfinite(float(row[column]))
 
     def test_modal_grid_above_former_cap(self, tmp_path):
         assert main(["pde", "--m-points", "8192", "--methods",

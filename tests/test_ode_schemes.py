@@ -9,8 +9,6 @@ from spectralfd.ode_schemes import (
     SchemeFamily,
     Trajectory,
     decay_solve,
-    decay_step,
-    halving_steps,
     ho_exact_solve,
     ho_initial_from_velocity,
     order_estimate,
@@ -23,24 +21,29 @@ def scheme(family, rate=1.0, step=0.1):
     return DecayScheme(family=family, rate=rate, step=step)
 
 
+def one_step(scheme, x):
+    """x_1 of a one-step march from x."""
+    return decay_solve(scheme, x, 1).states[1]
+
+
 class TestDecayStep:
     def test_forward_euler(self):
-        assert decay_step(scheme(SchemeFamily.FORWARD_EULER), 1.0) == 0.9
+        assert one_step(scheme(SchemeFamily.FORWARD_EULER), 1.0) == 0.9
 
     def test_backward_euler(self):
-        assert decay_step(scheme(SchemeFamily.BACKWARD_EULER), 1.0) == \
+        assert one_step(scheme(SchemeFamily.BACKWARD_EULER), 1.0) == \
             pytest.approx(1.0 / 1.1, rel=1e-15)
 
     def test_mickens_exact(self):
         # closed form of the decay equation at one step
-        assert decay_step(scheme(SchemeFamily.MICKENS_EXACT), 1.0) == \
+        assert one_step(scheme(SchemeFamily.MICKENS_EXACT), 1.0) == \
             pytest.approx(math.exp(-0.1), rel=1e-15)
 
     def test_quotient_and_multiplicative_forms_agree(self):
         for rate in (0.5, 1.0, 2.0):
             for h in (0.1, 0.5, 1.0, 2.0):
-                mick = decay_step(scheme(SchemeFamily.MICKENS_EXACT, rate, h), 1.0)
-                spec = decay_step(scheme(SchemeFamily.SPECTRAL_EXACT, rate, h), 1.0)
+                mick = one_step(scheme(SchemeFamily.MICKENS_EXACT, rate, h), 1.0)
+                spec = one_step(scheme(SchemeFamily.SPECTRAL_EXACT, rate, h), 1.0)
                 assert mick == pytest.approx(spec, rel=1e-15)
 
     def test_parameter_validation(self):
@@ -99,14 +102,24 @@ class TestDecaySolve:
 
 
 class TestTrajectory:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0]), states=np.array([1.0]))
+    @pytest.mark.parametrize("family", list(SchemeFamily))
+    def test_decay_solve_times(self, family):
+        for step, n_steps in ((0.1, 1), (0.37, 20), (1e-5, 10**5)):
+            traj = decay_solve(scheme(family, 1.0, step), 1.0, n_steps)
+            assert traj.step == step
+            assert traj.times.tobytes() == \
+                (np.arange(n_steps + 1) * step).tobytes()
 
-    def test_nonuniform_rejected(self):
+    def test_ho_exact_solve_times(self):
+        for h, n_steps in ((0.7, 2), (0.1, 1000), (1e-3, 10**5)):
+            traj = ho_exact_solve(1.0, h, n_steps, 1.0, math.cos(h))
+            assert traj.step == h
+            assert traj.times.tobytes() == \
+                (np.arange(n_steps + 1) * h).tobytes()
+
+    def test_states_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 1.0, 3.0]),
-                       states=np.array([1.0, 2.0, 3.0]))
+            Trajectory(step=0.1, states=np.zeros((2, 3)))
 
 
 class TestHarmonicOscillator:
@@ -182,7 +195,7 @@ class TestMarchesMatchScalarLoops:
                     traj = silent(decay_solve, s, x0, n_steps)
                     assert traj.states.dtype == np.float64
                     assert traj.states.tobytes() == expected.tobytes()
-                    one = silent(decay_step, s, x0)
+                    one = silent(one_step, s, x0)
                     assert np.float64(one).tobytes() == expected[1].tobytes()
                     reached_inf |= bool(np.isinf(expected).any())
                     reached_zero |= x0 != 0.0 and expected[-1] == 0.0
@@ -209,17 +222,17 @@ class TestMarchesMatchScalarLoops:
 
 class TestOrderEstimate:
     def test_first_order_schemes(self):
-        h_list = halving_steps(1.0 / 8.0, 6)
+        levels = 6
         for family in (SchemeFamily.FORWARD_EULER, SchemeFamily.BACKWARD_EULER):
-            rows = order_estimate(family, 1.0, 1.0, 1.0, h_list)
+            rows = order_estimate(family, 1.0, 1.0, 1.0, 1.0 / 8.0, levels)
             ps = [row.observed_p for row in rows if row.observed_p is not None]
-            assert len(ps) == len(h_list) - 1
+            assert len(ps) == levels - 1
             for p in ps:
                 assert p == pytest.approx(1.0, abs=0.1)
 
     def test_exact_scheme_reported_exact(self):
         rows = order_estimate(SchemeFamily.MICKENS_EXACT, 1.0, 1.0, 1.0,
-                              halving_steps(1.0 / 8.0, 6))
+                              1.0 / 8.0, 6)
         for row in rows:
             assert row.exact
             assert row.observed_p is None
@@ -228,14 +241,9 @@ class TestOrderEstimate:
     def test_requires_four_levels(self):
         with pytest.raises(ValueError):
             order_estimate(SchemeFamily.FORWARD_EULER, 1.0, 1.0, 1.0,
-                           halving_steps(0.125, 3))
-
-    def test_requires_halving(self):
-        with pytest.raises(ValueError):
-            order_estimate(SchemeFamily.FORWARD_EULER, 1.0, 1.0, 1.0,
-                           [0.125, 0.1, 0.05, 0.025])
+                           0.125, 3)
 
     def test_requires_divisible_step(self):
         with pytest.raises(ValueError):
             order_estimate(SchemeFamily.FORWARD_EULER, 1.0, 1.0, 1.0,
-                           halving_steps(0.3, 4))
+                           0.3, 4)

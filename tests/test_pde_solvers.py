@@ -597,12 +597,39 @@ class TestDefaults:
         assert k == pytest.approx(2.0 * math.pi * j / grid.length, rel=1e-12)
 
 
+def assert_times_derived(traj, dt, n_frames):
+    assert traj.dt == dt
+    assert len(traj.frames) == n_frames
+    assert traj.times.tobytes() == (np.arange(n_frames) * dt).tobytes()
+
+
 class TestFieldTrajectory:
     def test_shape_validation(self):
         grid = periodic_grid(m=8)
         with pytest.raises(ValueError):
-            FieldTrajectory(grid=grid, times=np.array([0.0, 0.1]),
-                            frames=np.zeros((2, 7)))
-        with pytest.raises(ValueError):
-            FieldTrajectory(grid=grid, times=np.array([0.0, 0.1, 0.3]),
-                            frames=np.zeros((3, 8)))
+            FieldTrajectory(grid=grid, dt=0.1, frames=np.zeros((2, 7)))
+
+    def test_evolve_times(self):
+        grid = periodic_grid(m=33)
+        problem = PDEProblem(a=0.7, b=0.4,
+                             initial_condition=np.sin(grid.points))
+        dt = 0.2 * grid.dx**2
+        for kind in (EulerStd(dt=dt), Nsfd(dt=dt),
+                     SpectralPhys(dt=dt, k=1.0, s=1.6), SpectralModal(dt=dt)):
+            assert_times_derived(evolve(problem, grid, kind, 400), dt, 401)
+
+    def test_truncated_evolve_times(self):
+        # the blow-up of TestEvolve: 2822 of 3001 frames are kept
+        grid = periodic_grid(m=8)
+        u0 = np.random.RandomState(8).standard_normal(8)
+        problem = PDEProblem(a=0.3, b=-1.0, initial_condition=u0)
+        assert_times_derived(evolve(problem, grid, Nsfd(dt=2.0), 3000),
+                             2.0, 2822)
+
+    def test_evolve_modal_times(self):
+        grid = periodic_grid(m=32)
+        problem = PDEProblem(a=0.3, b=0.2,
+                             initial_condition=np.cos(3.0 * grid.points))
+        for dt, n_steps in ((0.25, 6), (1e-3, 10**4)):
+            assert_times_derived(evolve_modal(problem, grid, dt, n_steps),
+                                 dt, n_steps + 1)
