@@ -114,7 +114,7 @@ class ExactStepKind(Enum):
 
 
 def mu_exact_step(kind: ExactStepKind, rate: float, order: float,
-                  t_n: float, t_np1: float, tol: float = 1e-12) -> float:
+                  t_n: float, t_np1: float) -> float:
     """Step measure making y_{n+1} = y_n * (1 - rate*mu) exact at grid times.
 
     CONFORMABLE reproduces exp(-rate * t**order); MITTAG_LEFFLER reproduces
@@ -142,7 +142,7 @@ def mu_exact_step(kind: ExactStepKind, rate: float, order: float,
         else:  # t_n**order < t_np1**order / e
             dz = t_np1**order - t_n**order
         return -math.expm1(-rate * dz) / rate
-    params = MLParams(alpha=order, tol=tol)
+    params = MLParams(alpha=order)
     e_next = mittag_leffler(params, -rate * t_np1**order)
     e_here = mittag_leffler(params, -rate * t_n**order) if t_n > 0.0 else 1.0
     if e_here == 0.0:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
+from ..specfun import ALPHA_MIN
+
 __all__ = [
     "ExperimentKind",
     "ExperimentConfig",
@@ -185,11 +187,12 @@ _SCHEMAS: dict[ExperimentKind, tuple[Field, ...]] = {
         Field("s_mode", "float", default=None),
     ),
     ExperimentKind.ML_IDENTITIES: (
-        Field("tol", "float", default=1e-12, check=_positive),
+        Field("tol", "float", default=1e-12,
+              check=lambda v: None if 0.0 < v < 1.0 else "must lie in (0, 1)"),
         Field("alphas", "float_list",
               default=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-              check=lambda v: None if all(0.0 < x < 2.0 for x in v)
-              else "entries must lie in (0, 2)"),
+              check=lambda v: None if all(ALPHA_MIN <= x <= 1.0 for x in v)
+              else f"entries must lie in [{ALPHA_MIN:g}, 1]"),
     ),
     ExperimentKind.SIGNATURE_DEMO: (
         Field("alpha", "float", required=True, check=_unit_interval),
@@ -269,6 +272,12 @@ def _cross_checks(kind: ExperimentKind, values: dict,
         frames = values["t_final"] / min(values["dt"]) + 1.0
         if values["m_points"] > MAX_ARRAY_POINTS / frames:
             too_large("dt")
+        # sin(2 pi ic_mode x_m / domain_length) samples sin(pi * integer)
+        # when 2 ic_mode is a multiple of m_points: roundoff, not a mode
+        if values["ic_mode"] > 0 \
+                and 2 * values["ic_mode"] % values["m_points"] == 0:
+            bad("ic_mode", "the initial sine vanishes at every grid point "
+                           "when 2 ic_mode is a multiple of m_points")
         # the exact solution's amplitude, as the runner's error scale forms it
         try:
             k = 2.0 * math.pi * values["ic_mode"] / values["domain_length"]
@@ -285,6 +294,8 @@ def _cross_checks(kind: ExperimentKind, values: dict,
     elif kind is ExperimentKind.SIGNATURE_DEMO:
         if values["t_max"] <= values["t_min"]:
             bad("t_max", "must exceed t_min")
+        if values["propagator"] == "nonlocal_ml" and values["alpha"] < ALPHA_MIN:
+            bad("alpha", f"must be >= {ALPHA_MIN:g} for nonlocal_ml")
     elif kind is ExperimentKind.LAPLACE_BVP:
         if values["s"] <= values["b"]:
             bad("s", "must exceed b (decaying transform regime)")

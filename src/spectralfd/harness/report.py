@@ -105,7 +105,6 @@ class PlotSpec:
     logx: bool = False
     logy: bool = False
     group_by: tuple[str, ...] = ()
-    title: str = ""
 
 
 _SVG_W, _SVG_H = 640, 480
@@ -220,10 +219,9 @@ def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
-    title = spec.title or report.experiment
     parts.append(
         f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
+        f'font-family="sans-serif" font-size="16">{report.experiment}</text>'
     )
     # axes
     x_axis_y = _SVG_H - _MARGIN_B

@@ -78,15 +78,16 @@ def local_propagator(rate: float, order: float, t: float) -> float:
     return math.exp(-rate * t**order)
 
 
-def nonlocal_propagator(rate: float, order: float, t: float,
-                        tol: float = 1e-12) -> float:
-    """E_order(-rate * t**order); equals the local propagator at order 1."""
+def nonlocal_propagator(rate: float, order: float, t: float) -> float:
+    """E_order(-rate * t**order); equals the local propagator at order 1.
+
+    ``MLParams`` limits ``order`` to [0.01, 1], its contract's domain."""
     _check_rate_order(rate, order)
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     if t == 0.0:
         return 1.0
-    return mittag_leffler(MLParams(alpha=order, tol=tol), -rate * t**order)
+    return mittag_leffler(MLParams(alpha=order), -rate * t**order)
 
 
 def origin_window(n_samples: int = 24, t_min: float = 1e-4,

@@ -1,31 +1,31 @@
 """Mittag-Leffler evaluation in double precision.
 
-E_{alpha,beta}(z) = sum_{k>=0} z**k / Gamma(alpha*k + beta) generalizes the
-exponential (alpha = beta = 1) and underlies every relaxation propagator and
-exact denominator here.  On the negative axis its series cancels like
-exp(|z|**(1/alpha)), so E is instead the inverse Laplace transform
+E_alpha(z) = sum_{k>=0} z**k / Gamma(alpha*k + 1), for 0 < alpha <= 1 (the
+Brownian and sub-diffusive orders), generalizes the exponential (alpha = 1)
+and underlies every relaxation propagator and exact denominator here.  On
+the negative axis its series cancels like exp(|z|**(1/alpha)), so E is
+instead the inverse Laplace transform
 
-    E_{alpha,beta}(z) = (1/2 pi i) int_C e**s s**(alpha-beta)/(s**alpha - z) ds
+    E_alpha(z) = (1/2 pi i) int_C e**s s**(alpha-1)/(s**alpha - z) ds
 
 by the trapezoid rule on the parabola s(u) = mu (1 + iu)**2, with mu, step
 and node count from Garrappa's rules for a target accuracy eps
-(R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015, 1350-1369).  The poles
-s* = |z|**(1/alpha) exp(i(theta + 2 pi k)/alpha) right of the parabola add
-their residues (1/alpha) s***(1-beta) exp(s*): one for z > 0, a conjugate
-pair for z < 0 when alpha > 1.
+(R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015, 1350-1369), counting the
+origin singularity as a simple pole.  For z > 0 the pole
+s* = z**(1/alpha) adds its residue exp(s*)/alpha when it lies right of the
+parabola.  For z < 0 no pole does, so every negative argument is summed on
+one node set that depends on eps alone.
 
 The contour error is absolute, about eps = max(tol/1000, 1e-15): the
 contract stated on ``mittag_leffler`` floors |E| at 1e-2, and a factor 10
-is margin.  z = 0 (1/Gamma(beta), from ``math.gamma``) and alpha = beta = 1
-(exp(z), whose tiny negative-axis values an absolute error would swamp) are
-shortcuts.  A value past the double range raises
-``OverflowError`` naming alpha, beta and z (the residue exp(z**(1/alpha))
-does this at alpha = 0.3 from z = 8 on).
+is margin.  z = 0 (E = 1) and alpha = 1 (exp(z), whose tiny negative-axis
+values an absolute error would swamp) are shortcuts.  A value past the
+double range raises ``OverflowError`` naming alpha and z (the residue
+exp(z**(1/alpha)) does this at alpha = 0.3 from z = 8 on).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -39,30 +39,33 @@ __all__ = [
     "mittag_leffler",
 ]
 
+# The smallest order the contract covers; the mpmath oracle it is swept
+# against overflows forming |z|**(1/alpha) at z = -50 below about 0.005.
+ALPHA_MIN = 0.01
+
 
 @dataclass(frozen=True)
 class MLParams:
-    """Mittag-Leffler indices and evaluation control.
+    """Mittag-Leffler order and evaluation control.
 
-    ``alpha`` must lie in (0, 2); propagator-facing callers restrict it to
-    (0, 1] at their own boundary.  ``beta`` must lie in [0.3, 2], the
-    domain the ``mittag_leffler`` contract is swept over.  ``tol`` is the
-    requested accuracy; see ``mittag_leffler`` for the contract it sets.
+    ``alpha`` must lie in [0.01, 1], the domain the ``mittag_leffler``
+    contract is swept over.  ``tol`` is the requested accuracy and must lie
+    in (0, 1); see ``mittag_leffler`` for the contract it sets.
     """
 
     alpha: float
-    beta: float = 1.0
     tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 2.0):
+        if not (ALPHA_MIN <= self.alpha <= 1.0):
             raise ValueError(
-                f"Mittag-Leffler order alpha must lie in (0, 2), got {self.alpha!r}"
+                f"Mittag-Leffler order alpha must lie in [{ALPHA_MIN:g}, 1], "
+                f"got {self.alpha!r}"
             )
-        if not (0.3 <= self.beta <= 2.0):
-            raise ValueError(f"beta must lie in [0.3, 2], got {self.beta!r}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        # tol >= 1 asks for no accuracy at all, and Garrappa's rules break
+        # once eps = tol/1000 reaches 1
+        if not (0.0 < self.tol < 1.0):
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol!r}")
 
 
 # log of the double unit roundoff, and the most accurate contour target.
@@ -74,18 +77,15 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _PHI_NEGLIGIBLE = 1e-15
 
 
-def _bounded_rule(phi_pole: float, p: float, log_eps: float):
+def _bounded_rule(phi_pole: float, log_eps: float):
     """Garrappa's RB rule: (mu, h, N) for a parabola between the origin
-    (singularity strength p >= 1) and the poles at phi_pole (strength 1), or
-    None when that region admits no parameters."""
+    and the pole at phi_pole, both counted as simple poles."""
     f_max = math.exp(log_eps - _LOG_ROUNDOFF)
     sq1 = min(math.sqrt(phi_pole), 2.0 * math.sqrt(log_eps - _LOG_ROUNDOFF))
-    f_min = 1.01 * sq1 ** (1.0 - p)
-    if f_min >= f_max:
-        return None
-    f_min = max(f_min, 1.5)
-    f_bar = f_min + f_min / f_max * (f_max - f_min)
-    fp = f_bar ** (-1.0 / p)
+    # f_min = max(1.01, 1.5) for simple poles; eps >= 1e-15 keeps f_max
+    # above 4.4, so the region always admits parameters
+    f_bar = 1.5 + 1.5 / f_max * (f_max - 1.5)
+    fp = f_bar ** -1.0
     fq = 1.0 / f_bar
     w = -phi_pole / log_eps
     den = 2.0 + w - (1.0 + w) * fp + fq
@@ -98,9 +98,9 @@ def _bounded_rule(phi_pole: float, p: float, log_eps: float):
     return mu, h, math.ceil(math.sqrt(1.0 - log_eps / mu) / h)
 
 
-def _unbounded_rule(phi: float, p: float, log_eps: float):
+def _unbounded_rule(phi: float, log_eps: float):
     """Garrappa's RU rule: (mu, h, N) for a parabola to the right of the
-    singularity at phi (strength p > 0), or None when round-off bars it."""
+    simple pole at phi, or None when round-off bars it (only for phi > 0)."""
     sq_phi = math.sqrt(phi)
     bar = phi * 1.01 if phi > 0.0 else 0.01
     sq_bar = math.sqrt(bar)
@@ -110,16 +110,16 @@ def _unbounded_rule(phi: float, p: float, log_eps: float):
                       * (1.0 - 1.5 * r + math.sqrt(1.0 - 2.0 * r)))
         a = math.pi * n / bar
         sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-        if 1.0 < ((sq_bar - sq_phi) / sq_mu) ** (-p) < 10.0:
+        if 1.0 < ((sq_bar - sq_phi) / sq_mu) ** -1.0 < 10.0:
             break
-        sq_bar = 5.0 ** (-1.0 / p) * sq_mu + sq_phi
+        sq_bar = 5.0 ** -1.0 * sq_mu + sq_phi
         bar = sq_bar * sq_bar
     mu = sq_mu * sq_mu
     h = (-3.0 * a - 2.0 + 2.0 * math.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
     threshold = log_eps - _LOG_ROUNDOFF
     if mu > threshold:
         # exp(mu) would amplify round-off past eps: pin mu at the threshold.
-        q = 5.0 ** (-1.0 / p) * sq_mu
+        q = 5.0 ** -1.0 * sq_mu
         if (q + sq_phi) ** 2 >= threshold:
             return None
         w = math.sqrt(_LOG_ROUNDOFF / (_LOG_ROUNDOFF - log_eps))
@@ -130,86 +130,65 @@ def _unbounded_rule(phi: float, p: float, log_eps: float):
     return mu, h, n
 
 
-def _overflow(alpha: float, beta: float, z: float) -> OverflowError:
-    return OverflowError(
-        f"E_{{{alpha:g},{beta:g}}}({z:g}) exceeds the double range"
-    )
+def _overflow(alpha: float, z: float) -> OverflowError:
+    return OverflowError(f"E_{{{alpha:g}}}({z:g}) exceeds the double range")
 
 
-def _contour(alpha: float, beta: float, z: float, eps: float) -> float:
-    """E_{alpha,beta}(z), z != 0, by the trapezoid rule on Garrappa's
-    parabola plus the residues of the poles right of it."""
+def _contour(alpha: float, z: float, eps: float) -> float:
+    """E_alpha(z), z != 0, by the trapezoid rule on Garrappa's parabola plus
+    the residue of the pole when it lies right of it."""
     log_eps = math.log(eps)
-    # Strength of the origin singularity.  Garrappa's 2(beta-alpha-1) reads
-    # a branch point as none when <= 0; counting it at least as a simple
-    # pole costs 45 nodes instead of 27 and cuts the error near z = 0 from
-    # ~2e-15 (beta = 1) and ~7e-13 (alpha = 0.9, beta = 2) to ~2e-16.
-    p0 = max(1.0, 2.0 * (beta - alpha - 1.0))
-    phi = 0.0
-    if z > 0.0 or alpha > 1.0:
-        ln_x = math.log(abs(z)) / alpha
+    x = 0.0  # the pole z**(1/alpha), for z > 0
+    if z > 0.0:
+        ln_x = math.log(z) / alpha
         if ln_x > _LOG_DOUBLE_MAX:
-            raise _overflow(alpha, beta, z)
+            raise _overflow(alpha, z)
         x = math.exp(ln_x)
-        pole = complex(x) if z > 0.0 else cmath.rect(x, math.pi / alpha)
-        phi = 0.5 * (pole.real + x)
-    rules = []
-    if phi > _PHI_NEGLIGIBLE:
-        rules.append((_bounded_rule(phi, p0, log_eps), True))
-        if phi < log_eps - _LOG_ROUNDOFF:
-            rules.append((_unbounded_rule(phi, 1.0, log_eps), False))
+    if x > _PHI_NEGLIGIBLE:
+        (mu, h, n), pole_right = _bounded_rule(x, log_eps), True
+        if x < log_eps - _LOG_ROUNDOFF:
+            left = _unbounded_rule(x, log_eps)
+            if left and left[2] < n:
+                (mu, h, n), pole_right = left, False
     else:
-        rules.append((_unbounded_rule(0.0, p0, log_eps), False))
-    rules = [(rule, poles_right) for rule, poles_right in rules if rule]
-    if not rules:
-        raise ValueError(
-            f"no parabolic contour reaches eps={eps:g} for alpha={alpha:g}, "
-            f"beta={beta:g}: the origin singularity is too strong; raise tol"
-        )
-    (mu, h, n), poles_right = min(rules, key=lambda r: r[0][2])
+        (mu, h, n), pole_right = _unbounded_rule(0.0, log_eps), False
 
     # The integrand at -u is minus the conjugate of that at u, so the sum
     # over nodes -N..N is i*Im of twice the sum over 0..N less node 0.
     u = h * np.arange(n + 1)
     s = mu * (1.0 + 1j * u) ** 2
     log_s = np.log(s)
-    g = (np.exp(s + (alpha - beta) * log_s)
+    g = (np.exp(s + (alpha - 1.0) * log_s)
          / (np.exp(alpha * log_s) - z) * (1j - u)).imag
     value = (2.0 * g.sum() - g[0]) * h * mu / math.pi
-    if poles_right:
-        if z > 0.0:
-            ln_res = x + (1.0 - beta) * ln_x - math.log(alpha)
-            if ln_res > _LOG_DOUBLE_MAX:
-                raise _overflow(alpha, beta, z)
-            value += math.exp(ln_res)
-        else:
-            # the conjugate pair contributes twice the real part of one
-            value += 2.0 / alpha * cmath.exp(
-                pole + (1.0 - beta) * cmath.log(pole)).real
+    if pole_right:
+        ln_res = x - math.log(alpha)
+        if ln_res > _LOG_DOUBLE_MAX:
+            raise _overflow(alpha, z)
+        value += math.exp(ln_res)
     if math.isinf(value):
-        raise _overflow(alpha, beta, z)
+        raise _overflow(alpha, z)
     return float(value)
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
+    """Mittag-Leffler function E_alpha(z) = E_{alpha,1}(z) for real z.
 
     Contract: |error| <= tol * max(|E|, 1e-2), i.e. relative error <= tol,
-    or absolute error <= tol/100 where |E| < 1e-2 (near the zeros of the
-    oscillating alpha > 1 branch), for tol >= 1e-12 on alpha in [0.1, 1.9],
-    beta in [0.3, 2] and z in [-50, 10]; the test suite sweeps it against
-    an mpmath oracle at beta = 0.3, 0.5, 1 and 2.  Raises ``OverflowError``
-    past the double range, and ``ValueError`` for a non-finite z or when no
-    contour reaches the eps tol asks for (beta - alpha near 2 or above).
+    or absolute error <= tol/100 where |E| < 1e-2 (the deep negative-axis
+    tail), for alpha in [0.01, 1], tol in [1e-12, 1) and z in [-50, 10]; the
+    test suite sweeps it against an mpmath oracle.  Raises
+    ``OverflowError`` past the double range and ``ValueError`` for a
+    non-finite z.
     """
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"argument must be finite, got {z}")
-    alpha, beta = params.alpha, params.beta
+    alpha = params.alpha
     if z == 0.0:
-        return 1.0 / math.gamma(beta)
-    if alpha == 1.0 and beta == 1.0:
+        return 1.0
+    if alpha == 1.0:
         if z > _LOG_DOUBLE_MAX:
-            raise _overflow(alpha, beta, z)
+            raise _overflow(alpha, z)
         return math.exp(z)
-    return _contour(alpha, beta, z, max(params.tol / 1000.0, _MIN_EPS))
+    return _contour(alpha, z, max(params.tol / 1000.0, _MIN_EPS))

@@ -529,6 +529,12 @@ class TestCli:
                 "range") in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_small_order_local_signature_still_runs(self, tmp_path):
+        # the Mittag-Leffler order floor does not apply to local_exp
+        argv = ["signature", "--alpha", "0.005", "--propagator", "local_exp"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(csv_rows(tmp_path / "signature_demo.csv")) == 1
+
     def test_subnormal_exact_solution_still_runs(self, tmp_path):
         # exp(-720) is subnormal, not 0: the error scale stays defined
         assert main(["pde", "--ic-mode", "19", "--out", str(tmp_path)]) == 0
@@ -643,11 +649,22 @@ class TestCli:
          "propagator: must be one of: local_exp, nonlocal_ml"),
         (["ho", "--n-steps", "abc"], "n_steps: expected an integer"),
         (["pde", "--dt", "0.1,x"], "dt: could not convert string to float"),
+        # eps = tol/1000 past 1 ended in a math domain error (exit 3)
+        (["ml", "--tol", "1e4"], "tol: must lie in (0, 1)"),
+        (["ml", "--alphas", "1.5"], "alphas: entries must lie in [0.01, 1]"),
+        (["signature", "--alpha", "0.005"],
+         "alpha: must be >= 0.01 for nonlocal_ml"),
+        # sin(2 pi 2 x_m / L) on 4 points is roundoff; times exp(-178) it
+        # underflowed the error scale to 0 (ZeroDivisionError, exit 3)
+        (["pde", "--a", "1", "--b", "0", "--m-points", "4", "--ic-mode", "2",
+          "--t-final", "178", "--dt", "1", "--methods", "spectral_modal"],
+         "ic_mode: the initial sine vanishes at every grid point"),
     ])
     def test_bad_flag_is_a_config_error(self, argv, message, tmp_path,
                                         capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_reused_parser_matches_fresh_parser(self, tmp_path, capsys):
         calls = [
