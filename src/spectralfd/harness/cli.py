@@ -24,17 +24,17 @@ from .report import PlotSpec, emit_csv, emit_json, emit_svg
 __all__ = ["main"]
 
 _DEFAULT_PLOTS = {
-    "decay_order": PlotSpec(x="h", y=("error",), logx=True, logy=True,
+    "decay_order": PlotSpec(x="h", y="error", logx=True, logy=True,
                             group_by=("scheme",)),
-    "ho_exact": PlotSpec(x="n", y=("abs_err",), logx=True, logy=True),
-    "pde_compare": PlotSpec(x="dt", y=("max_nodal_error",), logx=True,
+    "ho_exact": PlotSpec(x="n", y="abs_err", logx=True, logy=True),
+    "pde_compare": PlotSpec(x="dt", y="max_nodal_error", logx=True,
                             logy=True, group_by=("method",)),
-    "pde_stability": PlotSpec(x="k", y=("amplification",),
+    "pde_stability": PlotSpec(x="k", y="amplification",
                               group_by=("method", "dt")),
-    "ml_identities": PlotSpec(x="z", y=("abs_err",), logy=True,
+    "ml_identities": PlotSpec(x="z", y="abs_err", logy=True,
                               group_by=("alpha",)),
-    "signature_demo": PlotSpec(x="alpha_true", y=("alpha_hat",)),
-    "laplace_bvp": PlotSpec(x="dx", y=("max_nodal_error",), logx=True,
+    "signature_demo": PlotSpec(x="alpha_true", y="alpha_hat"),
+    "laplace_bvp": PlotSpec(x="dx", y="max_nodal_error", logx=True,
                             logy=True),
 }
 

@@ -3,9 +3,9 @@
 CSV is the canonical format: metadata rides in leading ``#`` comment lines,
 floats carry 17 significant digits so byte-level determinism is checkable,
 and the generation timestamp is isolated in the single ``# generated:``
-line.  The SVG writer is a small hand-rolled polyline plotter (axes, ticks,
-optional log scales, one polyline per series) so plots stay deterministic
-and dependency-free.
+line.  The SVG writer is a small hand-rolled polyline plotter (one y column
+against one x column, linear or log axes, one polyline per group of rows) so
+plots stay deterministic and dependency-free.
 """
 
 from __future__ import annotations
@@ -50,13 +50,6 @@ class ExperimentReport:
             if len(row) != len(self.columns):
                 raise ValueError("rows must match the column count")
 
-    def column(self, name: str) -> list:
-        try:
-            idx = self.columns.index(name)
-        except ValueError:
-            raise UnknownColumnError(f"no column named {name!r}") from None
-        return [row[idx] for row in self.rows]
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -98,10 +91,10 @@ def emit_json(report: ExperimentReport, path) -> None:
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Which columns to draw: one polyline per y column (or per group)."""
+    """Draw column ``y`` against ``x``: one polyline per ``group_by`` value."""
 
     x: str
-    y: tuple[str, ...]
+    y: str
     logx: bool = False
     logy: bool = False
     group_by: tuple[str, ...] = ()
@@ -121,54 +114,43 @@ def _usable(value, log: bool) -> bool:
     return value > 0.0 if log else True
 
 
-def _series_points(report: ExperimentReport,
-                   spec: PlotSpec) -> list[tuple[str, list[tuple[float, float]]]]:
-    for name in (spec.x, *spec.y, *spec.group_by):
+def _series(report: ExperimentReport, spec: PlotSpec) -> list:
+    for name in (spec.x, spec.y, *spec.group_by):
         if name not in report.columns:
             raise UnknownColumnError(f"no column named {name!r}")
-    xi = report.columns.index(spec.x)
-    series: list[tuple[str, list[tuple[float, float]]]] = []
-    if spec.group_by:
-        gidx = [report.columns.index(g) for g in spec.group_by]
-        keys: list[tuple] = []
-        for row in report.rows:
-            key = tuple(row[i] for i in gidx)
-            if key not in keys:
-                keys.append(key)
-        for key in keys:
-            for y_name in spec.y:
-                yi = report.columns.index(y_name)
-                pts = [(row[xi], row[yi]) for row in report.rows
-                       if tuple(row[i] for i in gidx) == key]
-                label = " ".join(str(part) for part in key)
-                if len(spec.y) > 1:
-                    label = f"{label} {y_name}"
-                series.append((label, pts))
+    xi, yi = report.columns.index(spec.x), report.columns.index(spec.y)
+    gidx = [report.columns.index(g) for g in spec.group_by]
+    groups: dict[tuple, list[tuple[float, float]]] = {} if gidx else {(): []}
+    for row in report.rows:
+        pts = groups.setdefault(tuple(row[i] for i in gidx), [])
+        if _usable(row[xi], spec.logx) and _usable(row[yi], spec.logy):
+            pts.append((float(row[xi]), float(row[yi])))
+    return [(" ".join(str(part) for part in key) if gidx else spec.y, pts)
+            for key, pts in groups.items()]
+
+
+def _axis(values: list[float], log: bool, p0: float, span: float):
+    """Padded (lo, hi) of values and the map lo -> p0, hi -> p0 + span."""
+    lo, hi = (min(values), max(values)) if values else (1.0, 1.0)
+    if log:
+        lo, hi = (lo / 10.0, hi * 10.0) if lo == hi else (lo / 1.2, hi * 1.2)
     else:
-        for y_name in spec.y:
-            yi = report.columns.index(y_name)
-            series.append((y_name, [(row[xi], row[yi]) for row in report.rows]))
-    cleaned = []
-    for label, pts in series:
-        kept = [(float(x), float(y)) for x, y in pts
-                if _usable(x, spec.logx) and _usable(y, spec.logy)]
-        cleaned.append((label, kept))
-    return cleaned
+        pad = (abs(lo) * 0.1 or 1.0) if lo == hi else (hi - lo) * 0.05
+        lo, hi = lo - pad, hi + pad
+    g = math.log10 if log else float
+    return lo, hi, lambda v: p0 + (g(v) - g(lo)) / (g(hi) - g(lo)) * span
 
 
-def _ticks(lo: float, hi: float, log: bool, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo_e, hi_e = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
-        step = max(1, (hi_e - lo_e) // n)
+        step = max(1, (hi_e - lo_e) // 5)
         return [10.0**e for e in range(lo_e, hi_e + 1, step)]
-    if hi == lo:
-        return [lo]
-    raw = (hi - lo) / n
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
-    start = math.ceil(lo / step) * step
     out = []
-    t = start
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-12 * abs(step):
         out.append(t)
         t += step
@@ -177,43 +159,13 @@ def _ticks(lo: float, hi: float, log: bool, n: int = 5) -> list[float]:
 
 def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
     """Write a polyline plot of the named columns."""
-    series = _series_points(report, spec)
+    series = _series(report, spec)
     points = [pt for _, pts in series for pt in pts]
-    if points:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-    else:
-        x_lo = x_hi = y_lo = y_hi = 1.0
-
-    def expand(lo: float, hi: float, log: bool) -> tuple[float, float]:
-        if log:
-            if lo == hi:
-                return lo / 10.0, hi * 10.0
-            return lo / 1.2, hi * 1.2
-        if lo == hi:
-            pad = abs(lo) * 0.1 or 1.0
-            return lo - pad, hi + pad
-        pad = (hi - lo) * 0.05
-        return lo - pad, hi + pad
-
-    x_lo, x_hi = expand(x_lo, x_hi, spec.logx)
-    y_lo, y_hi = expand(y_lo, y_hi, spec.logy)
-
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        if spec.logx:
-            fx = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            fx = (x - x_lo) / (x_hi - x_lo)
-        if spec.logy:
-            fy = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            fy = (y - y_lo) / (y_hi - y_lo)
-        px = _MARGIN_L + fx * (_SVG_W - _MARGIN_L - _MARGIN_R)
-        py = _SVG_H - _MARGIN_B - fy * (_SVG_H - _MARGIN_T - _MARGIN_B)
-        return px, py
-
+    x_axis_y = _SVG_H - _MARGIN_B
+    x_lo, x_hi, x_px = _axis([p[0] for p in points], spec.logx, _MARGIN_L,
+                             _SVG_W - _MARGIN_L - _MARGIN_R)
+    y_lo, y_hi, y_px = _axis([p[1] for p in points], spec.logy, x_axis_y,
+                             -(_SVG_H - _MARGIN_T - _MARGIN_B))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
@@ -224,7 +176,6 @@ def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
         f'font-family="sans-serif" font-size="16">{report.experiment}</text>'
     )
     # axes
-    x_axis_y = _SVG_H - _MARGIN_B
     parts.append(
         f'<line x1="{_MARGIN_L}" y1="{x_axis_y}" x2="{_SVG_W - _MARGIN_R}" '
         f'y2="{x_axis_y}" stroke="black"/>'
@@ -234,7 +185,7 @@ def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
         f'y2="{x_axis_y}" stroke="black"/>'
     )
     for t in _ticks(x_lo, x_hi, spec.logx):
-        px, _ = to_px(t, y_hi)
+        px = x_px(t)
         parts.append(
             f'<line x1="{px:.1f}" y1="{x_axis_y}" x2="{px:.1f}" '
             f'y2="{x_axis_y + 5}" stroke="black"/>'
@@ -244,7 +195,7 @@ def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
             f'font-family="sans-serif" font-size="11">{t:.4g}</text>'
         )
     for t in _ticks(y_lo, y_hi, spec.logy):
-        _, py = to_px(x_hi, t)
+        py = y_px(t)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" '
             f'y2="{py:.1f}" stroke="black"/>'
@@ -259,19 +210,17 @@ def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
         f'y="{_SVG_H - 12}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13">{spec.x}{" (log)" if spec.logx else ""}</text>'
     )
-    y_label = ", ".join(spec.y)
     parts.append(
         f'<text x="16" y="{(_MARGIN_T + x_axis_y) / 2:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {(_MARGIN_T + x_axis_y) / 2:.1f})">'
-        f'{y_label}{" (log)" if spec.logy else ""}</text>'
+        f'{spec.y}{" (log)" if spec.logy else ""}</text>'
     )
     # polylines + legend
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
-            coords = " ".join(f"{to_px(x, y)[0]:.2f},{to_px(x, y)[1]:.2f}"
-                              for x, y in pts)
+            coords = " ".join(f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in pts)
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'

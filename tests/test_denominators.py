@@ -68,6 +68,10 @@ class TestPsi2Nsfd:
         for r in (-100.0, -1.0, -1e-8, 0.0, 1e-8, 1.0, 30.0):
             assert psi2_nsfd(0.3, r) > 0.0
 
+    def test_bad_step(self):
+        with pytest.raises(ValueError, match="space step must be positive"):
+            psi2_nsfd(0.0, 1.0)
+
     def test_sine_zero_excluded(self):
         with pytest.raises(DegenerateDenominatorError):
             psi2_nsfd(1.0, (2.0 * math.pi) ** 2)
@@ -243,3 +247,9 @@ class TestMuExactStep:
             mu_exact_step(ExactStepKind.CONFORMABLE, 0.0, 0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             mu_exact_step(ExactStepKind.CONFORMABLE, 1.0, 1.4, 0.0, 1.0)
+
+    def test_propagator_underflow(self):
+        # E_1(-1000) = exp(-1000) is 0 in doubles: there is no ratio to form
+        with pytest.raises(DegenerateDenominatorError,
+                           match="propagator underflow"):
+            mu_exact_step(ExactStepKind.MITTAG_LEFFLER, 1000.0, 1.0, 1.0, 2.0)

@@ -85,6 +85,11 @@ def csv_without_timestamp(path) -> str:
                      if not line.startswith("# generated:"))
 
 
+def column(report, name: str) -> list:
+    """The cells of one report column, in row order."""
+    return [row[report.columns.index(name)] for row in report.rows]
+
+
 def csv_rows(path) -> list[dict]:
     lines = [line for line in Path(path).read_text().splitlines()
              if not line.startswith("#")]
@@ -149,6 +154,18 @@ class TestParseConfig:
                          "tol = 2e-9\n")
         messages = " | ".join(str(v) for v in excinfo.value.violations)
         assert "key = value" in messages and "duplicate" in messages
+
+    @pytest.mark.parametrize("text, message", [
+        ("experiment = ml_identities\n[study\n",
+         "line 2: [study: malformed section header"),
+        ("experiment = ml_identities\n= 1\n", "line 2: = 1: empty key"),
+        ("tol = 1e-9\n", "experiment: required key is missing"),
+    ])
+    def test_file_only_errors(self, text, message):
+        # no flag can write these: they exist only in a config file
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert [str(v) for v in excinfo.value.violations] == [message]
 
     def test_cross_check_s_regime(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -247,7 +264,7 @@ class TestReportEmission:
         config = parse_config(GOLDEN_CONFIGS["decay_order"])
         report = run_experiment(config)
         out = tmp_path / "plot.svg"
-        emit_svg(report, PlotSpec(x="h", y=("error",), logx=True, logy=True,
+        emit_svg(report, PlotSpec(x="h", y="error", logx=True, logy=True,
                                   group_by=("scheme",)), out)
         text = out.read_text()
         # exact schemes sit at the roundoff floor but still get a polyline
@@ -262,7 +279,7 @@ class TestReportEmission:
         )
         report = run_experiment(config)
         out = tmp_path / "fe.svg"
-        emit_svg(report, PlotSpec(x="h", y=("error",), logx=True, logy=True,
+        emit_svg(report, PlotSpec(x="h", y="error", logx=True, logy=True,
                                   group_by=("scheme",)), out)
         match = re.search(r'<polyline points="([^"]+)"', out.read_text())
         assert match is not None
@@ -278,7 +295,7 @@ class TestReportEmission:
         config = parse_config(GOLDEN_CONFIGS["decay_order"])
         report = run_experiment(config)
         with pytest.raises(UnknownColumnError):
-            emit_svg(report, PlotSpec(x="h", y=("no_such",)), tmp_path / "x.svg")
+            emit_svg(report, PlotSpec(x="h", y="no_such"), tmp_path / "x.svg")
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -289,8 +306,8 @@ class TestReportEmission:
 class TestExperimentSemantics:
     def test_decay_order_exact_rows(self):
         report = run_experiment(parse_config(GOLDEN_CONFIGS["decay_order"]))
-        scheme = report.column("scheme")
-        exact = report.column("exact_flag")
+        scheme = column(report, "scheme")
+        exact = column(report, "exact_flag")
         for name, flag in zip(scheme, exact):
             if name in ("mickens_exact", "spectral_exact"):
                 assert flag is True
@@ -345,9 +362,9 @@ class TestExperimentSemantics:
         # the invariant over the whole trajectory, on interior indices
         s = 2.0 * math.sin(omega * h)
         invariant = y[1:-1] ** 2 + ((y[2:] - y[:-2]) / s) ** 2
-        checkpoints = report.column("n")
+        checkpoints = column(report, "n")
         assert checkpoints[-1] == n_steps
-        for n, drift in zip(checkpoints, report.column("energy_drift")):
+        for n, drift in zip(checkpoints, column(report, "energy_drift")):
             if n == n_steps:
                 assert drift is None
             else:
@@ -363,7 +380,7 @@ class TestExperimentSemantics:
 
     def test_laplace_bvp_orders(self):
         report = run_experiment(parse_config(GOLDEN_CONFIGS["laplace_bvp"]))
-        orders = [p for p in report.column("observed_p") if p is not None]
+        orders = [p for p in column(report, "observed_p") if p is not None]
         assert orders and all(p >= 2.0 for p in orders)
 
 
@@ -377,6 +394,19 @@ class TestGoldenFiles:
         golden = GOLDEN_DIR / f"{name}.csv"
         assert golden.exists(), f"golden file missing: {golden}"
         assert csv_without_timestamp(out) == csv_without_timestamp(golden)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_svg_matches_golden(self, name, tmp_path):
+        # the config the golden CSV echoes, drawn with the CLI's default plot
+        lines = (GOLDEN_DIR / f"{name}.csv").read_text().splitlines()
+        config_file = tmp_path / "study.cfg"
+        config_file.write_text("".join(line[len("# config: "):] + "\n"
+                                       for line in lines
+                                       if line.startswith("# config: ")))
+        assert main(["run", str(config_file), "--out", str(tmp_path),
+                     "--format", "svg"]) == 0
+        assert ((tmp_path / f"{name}.svg").read_bytes()
+                == (GOLDEN_DIR / f"{name}.svg").read_bytes())
 
 
 class TestCli:
@@ -445,6 +475,23 @@ class TestCli:
         assert len(spectral) == 3
         assert ([{**r, "method": ""} for r in spectral]
                 == [{**r, "method": ""} for r in nsfd])
+
+    def test_spatially_constant_mode(self, tmp_path):
+        # ic_mode = 0 starts from u = 1, so the exact solution is exp(b t):
+        # phi is exact for the reaction sub-equation, and only Euler errs
+        assert main(["pde", "--ic-mode", "0", "--b", "0.5", "--methods",
+                     "euler,nsfd,spectral_modal,spectral_phys",
+                     "--out", str(tmp_path)]) == 0
+        rows = csv_rows(tmp_path / "pde_compare.csv")
+        assert len(rows) == 12
+        assert all(row["diverged"] == "false" for row in rows)
+        bound = {"nsfd": 1e-13, "spectral_phys": 1e-13, "spectral_modal": 1e-14}
+        for row in rows:
+            error = float(row["max_nodal_error"])
+            if row["method"] == "euler":
+                assert error > 1e-3
+            else:
+                assert error <= bound[row["method"]]
 
     def test_negative_exponent_floats_are_values(self, tmp_path, capsys):
         assert main(["pde", "--b", "-5e-05", "--out", str(tmp_path)]) == 0
@@ -659,6 +706,12 @@ class TestCli:
         (["pde", "--a", "1", "--b", "0", "--m-points", "4", "--ic-mode", "2",
           "--t-final", "178", "--dt", "1", "--methods", "spectral_modal"],
          "ic_mode: the initial sine vanishes at every grid point"),
+        (["ho", "--omega", "10", "--h", "0.7"],
+         "h: omega*h/2 must stay below pi"),
+        (["signature", "--alpha", "0.7", "--t-min", "0.1", "--t-max", "0.01"],
+         "t_max: must exceed t_min"),
+        (["decay", "--schemes", "bogus"], "schemes: unknown entries ['bogus']"),
+        (["pde", "--dt", ","], "dt: expected a non-empty list"),
     ])
     def test_bad_flag_is_a_config_error(self, argv, message, tmp_path,
                                         capsys):

@@ -166,6 +166,14 @@ class TestHarmonicOscillator:
         with pytest.raises(ValueError):
             ho_exact_solve(1.0, 2.0 * math.pi, 10, 1.0, 1.0)
 
+    @pytest.mark.parametrize("omega, h, message", [
+        (0.0, 0.1, "frequency must be positive"),
+        (1.0, 0.0, "step must be positive"),
+    ])
+    def test_nonpositive_frequency_or_step(self, omega, h, message):
+        with pytest.raises(ValueError, match=message):
+            ho_exact_solve(omega, h, 10, 1.0, 1.0)
+
     def test_needs_two_steps(self):
         with pytest.raises(ValueError):
             ho_exact_solve(1.0, 0.1, 1, 1.0, 1.0)

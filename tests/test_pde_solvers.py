@@ -77,11 +77,19 @@ class TestGridAndProblem:
         assert grid.length == pytest.approx(2.0 * math.pi, rel=1e-15)
         assert len(grid.points) == 64
 
+    def test_dirichlet_length_ends_at_the_last_point(self):
+        grid = Grid1D(x0=0.0, dx=0.25, m_points=9,
+                      boundary=Dirichlet(0.0, 0.0))
+        assert grid.length == 2.0
+        assert grid.points[-1] == grid.x0 + grid.length
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             PDEProblem(a=-1.0, b=0.0, initial_condition=np.zeros(8))
         with pytest.raises(ValueError):
             PDEProblem(a=1.0, b=0.0, initial_condition=np.array([1.0, np.inf]))
+        with pytest.raises(ValueError, match="1-D sample array"):
+            PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros((2, 8)))
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(8))
         with pytest.raises(ValueError):
             problem.check_grid(periodic_grid(m=16))
@@ -274,6 +282,12 @@ class TestEvolveModal:
         with pytest.raises(ValueError):
             evolve_modal(problem, grid, 0.1, 2)
 
+    def test_requires_a_step(self):
+        grid = periodic_grid(m=16)
+        problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            evolve_modal(problem, grid, 0.1, 0)
+
     def test_single_mode_exact_at_large_grid(self):
         m = 16384
         grid = periodic_grid(m=m)
@@ -312,6 +326,18 @@ class TestEvolve:
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
         with pytest.raises(TypeError):
             step(problem, grid, SpectralModal(dt=0.1), np.zeros(16))
+
+    def test_step_rejects_wrong_length_frame(self):
+        grid = periodic_grid(m=16)
+        problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
+        with pytest.raises(ValueError, match="does not match grid"):
+            step(problem, grid, EulerStd(dt=0.1), np.zeros(15))
+
+    def test_requires_a_step(self):
+        grid = periodic_grid(m=16)
+        problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            evolve(problem, grid, EulerStd(dt=0.1), 0)
 
     def test_solver_reduction_chain(self):
         rng = np.random.RandomState(13)
@@ -468,6 +494,10 @@ class TestLaplaceModeSolve:
                              initial_condition=np.zeros(11))
         with pytest.raises(ValueError):
             laplace_mode_solve(problem, grid, 0.5)  # s <= b
+        no_diffusion = PDEProblem(a=0.0, b=1.0,
+                                  initial_condition=np.zeros(11))
+        with pytest.raises(ValueError, match="diffusion coefficient"):
+            laplace_mode_solve(no_diffusion, grid, 2.0)
 
     def test_requires_homogeneous_dirichlet(self):
         grid = Grid1D(x0=0.0, dx=0.1, m_points=11, boundary=Dirichlet(1.0, 0.0))

@@ -49,6 +49,10 @@ class TestNonlocalPropagator:
     def test_time_zero(self):
         assert nonlocal_propagator(2.0, 0.3, 0.0) == 1.0
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            nonlocal_propagator(1.0, 0.5, -1.0)
+
     def test_half_order_against_erfc_oracle(self):
         assert nonlocal_propagator(1.0, 0.5, 1.0) == pytest.approx(
             ml_half_oracle(1.0), abs=1e-12)

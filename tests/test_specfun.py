@@ -126,6 +126,9 @@ class TestMittagLeffler:
         # this once ended in a NaN node count and a ValueError
         with pytest.raises(OverflowError, match=r"E_\{0\.01\}\(1202\.5\)"):
             mittag_leffler(MLParams(alpha=0.01), 1202.5)
+        # the pole 1300**100 is past the double range itself
+        with pytest.raises(OverflowError, match=r"E_\{0\.01\}\(1300\)"):
+            mittag_leffler(MLParams(alpha=0.01), 1300.0)
 
     def test_slowly_decaying_series_point(self):
         # the power series of E_alpha(1) has a long, slowly decaying tail
