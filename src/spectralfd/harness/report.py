@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -68,8 +69,7 @@ def emit_csv(report: ExperimentReport, path) -> None:
     lines.extend(f"# config: {line}" for line in report.config_lines)
     lines.append(f"# generated: {report.generated}")
     lines.append(",".join(report.columns))
-    for row in report.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    lines += [",".join(map(_format_cell, row)) for row in report.rows]
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -137,21 +137,30 @@ def _axis(values: list[float], log: bool, p0: float, span: float):
     else:
         pad = (abs(lo) * 0.1 or 1.0) if lo == hi else (hi - lo) * 0.05
         lo, hi = lo - pad, hi + pad
+    # the padded ends stay finite, and positive on a log axis
+    lo = max(lo, math.ulp(0.0) if log else -sys.float_info.max)
+    hi = min(hi, sys.float_info.max)
     g = math.log10 if log else float
-    return lo, hi, lambda v: p0 + (g(v) - g(lo)) / (g(hi) - g(lo)) * span
+    # halving keeps g(hi) - g(lo) finite and, for normal doubles, is exact
+    g_lo, width = g(lo) / 2, g(hi) / 2 - g(lo) / 2
+    return lo, hi, lambda v: p0 + (g(v) / 2 - g_lo) / width * span
 
 
 def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo_e, hi_e = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         step = max(1, (hi_e - lo_e) // 5)
-        return [10.0**e for e in range(lo_e, hi_e + 1, step)]
-    raw = (hi - lo) / 5
-    mag = 10.0 ** math.floor(math.log10(raw))
+        # 10**e is 0 below e = -323 and overflows above e = 308
+        return [10.0**e for e in range(lo_e, hi_e + 1, step)
+                if -323 <= e <= 308]
+    raw = (hi / 2 - lo / 2) / 2.5  # (hi - lo) / 5 without overflow
+    mag = max(10.0 ** math.floor(math.log10(raw)), math.ulp(0.0))
     step = min(s * mag for s in (1, 2, 5, 10) if s * mag >= raw)
     out = []
     t = math.ceil(lo / step) * step
-    while t <= hi + 1e-12 * abs(step):
+    # a finite end, so that a t that overflows ends the loop
+    end = min(hi + 1e-12 * step, sys.float_info.max)
+    while t <= end:
         out.append(t)
         t += step
     return out

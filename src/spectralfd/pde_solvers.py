@@ -16,9 +16,10 @@ the denominator pair (phi, psi2) the weights come from:
 
 With a = 0 the weight c1 is 0 for every kind, and psi2 is never formed.
 ``evolve`` marches in place through one preallocated frames array with the
-same whole-array kernel as ``step``.  ``amplification_factor`` reports the
-stencil's symbol c0 + 2 c1 cos(k dx), the per-step multiplier a kind
-applies to each spatial mode and the basic stability diagnostic.
+same whole-array kernel as ``step``, and checks the frames for blow-up once
+per block of rows rather than once per step.  ``amplification_factor``
+reports the stencil's symbol c0 + 2 c1 cos(k dx), the per-step multiplier a
+kind applies to each spatial mode and the basic stability diagnostic.
 
 ``evolve_modal`` instead multiplies every Fourier mode of a periodic frame
 by its exact growth factor exp((b - a*k^2)*t), which makes the evolution
@@ -229,15 +230,23 @@ def step(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
     return _advance(problem, grid, kind, u, np.empty_like(u), np.empty_like(u))
 
 
+# Values per finiteness check in ``evolve``: 64 rows at M = 64, one row from
+# M = 4096 on, so the boolean temporary stays small.
+_CHECK_POINTS = 4096
+
+
 def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
            n_steps: int) -> FieldTrajectory:
     """Run any solver kind for n_steps from the problem's initial data.
 
     Explicit kinds march in place through one ``(n_steps + 1, M)`` array,
     writing row n + 1 from row n with the kernel ``step`` uses, so the
-    frames equal repeated ``step`` calls bit for bit.  The march stops
-    early if a frame goes non-finite (blow-up is a result, not an
-    exception); the trajectory then holds a copy of the finite rows only.
+    frames equal repeated ``step`` calls bit for bit.  Blow-up is a
+    result, not an exception: finiteness is checked once per block of
+    rows of about 4096 values in all (at least one row), and the trajectory
+    ends at the last frame before the first non-finite one, as a copy of
+    the finite rows only.  A diverging run may compute up to one block of
+    frames past the blow-up, which it drops.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
@@ -248,12 +257,19 @@ def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
     frames[0] = problem.initial_condition
     _apply_boundary(frames[0], grid.boundary)
     work = np.empty(grid.m_points)
+    rows = max(1, _CHECK_POINTS // grid.m_points)
+    checked = 0  # the last row checked for blow-up; row 0 is the data
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             _advance(problem, grid, kind, frames[n], frames[n + 1], work)
-            if not np.isfinite(frames[n + 1]).all():
-                frames = frames[: n + 1].copy()  # frees the unused tail
+            if n + 1 - checked < rows and n + 1 < n_steps:
+                continue
+            block = frames[checked + 1:n + 2]
+            if not np.isfinite(block).all():
+                first = int(np.argmin(np.isfinite(block).all(axis=1)))
+                frames = frames[: checked + 1 + first].copy()  # frees the tail
                 break
+            checked = n + 1
     return FieldTrajectory(grid=grid, dt=kind.dt, frames=frames)
 
 

@@ -3,8 +3,10 @@ import json
 import math
 import re
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectralfd import ode_schemes
@@ -243,6 +245,19 @@ class TestReportEmission:
         emit_csv(report, out)
         assert "0.33333333333333331" in out.read_text()
 
+    def test_cell_formats(self, tmp_path):
+        # np.float64 is a float and gets 17 digits; bool is tested before
+        # int; an np.bool_ is neither and prints as str() does
+        report = ExperimentReport(
+            experiment="x", columns=("f", "b", "i", "none", "s", "nb"),
+            rows=[(np.float64(1.0 / 3.0), True, 3, None, "s", np.bool_(True))],
+            config_lines=(), tool_version="0.1.0",
+        )
+        out = tmp_path / "c.csv"
+        emit_csv(report, out)
+        assert out.read_text().splitlines()[-1] == \
+            "0.33333333333333331,true,3,,s,True"
+
     def test_determinism_modulo_timestamp(self, tmp_path):
         config = parse_config(GOLDEN_CONFIGS["decay_order"])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -290,6 +305,34 @@ class TestReportEmission:
         # error shrinks with h on log-log axes: pixel y grows as pixel x falls
         assert all(x1 > x2 for x1, x2 in zip(xs, xs[1:]))
         assert all(y1 < y2 for y1, y2 in zip(ys, ys[1:]))
+
+    @pytest.mark.parametrize("ys, logy", [
+        ((1.7e308, -1.7e308), False),
+        ((1.7976931348623157e308,), False),
+        ((5e-324, 4e-323), False),
+        ((1.7e308,), True),
+        ((1e-320, 5e-324), True),
+    ], ids=["padded-span-past-max", "tick-steps-past-max",
+            "tick-spacing-underflows", "log-padded-top-past-max",
+            "log-decade-tick-is-zero"])
+    def test_svg_near_the_ends_of_the_double_range(self, tmp_path, ys, logy):
+        report = ExperimentReport(
+            experiment="x", columns=("n", "y"), rows=list(enumerate(ys)),
+            config_lines=(), tool_version="0.1.0",
+        )
+        out = tmp_path / "edge.svg"
+        emit_svg(report, PlotSpec(x="n", y="y", logy=logy), out)
+        root = ET.parse(out).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        for element in root.iter():
+            for name in ("x", "y", "x1", "y1", "x2", "y2"):
+                if name in element.attrib:
+                    assert math.isfinite(float(element.attrib[name]))
+        (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+        points = polyline.attrib["points"].split()
+        assert len(points) == len(ys)
+        assert all(math.isfinite(float(c)) for p in points
+                   for c in p.split(","))
 
     def test_svg_unknown_column(self, tmp_path):
         config = parse_config(GOLDEN_CONFIGS["decay_order"])

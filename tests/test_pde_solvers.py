@@ -10,6 +10,7 @@ from spectralfd.denominators import (
     psi2_spectral,
 )
 from spectralfd.pde_solvers import (
+    _CHECK_POINTS,
     Dirichlet,
     EulerStd,
     FieldTrajectory,
@@ -452,6 +453,78 @@ class TestEvolveIsRepeatedStep:
                             step(problem, grid, kind, u)))
         # with diffusion, dt = 3 blows every kind up within 400 steps
         assert truncated == (3 if a > 0.0 else 0)
+
+
+def stepwise_evolve(problem, grid, kind, n_steps):
+    """The march with every frame checked as it is made: repeated ``step``
+    calls from the boundary-adjusted initial data, stopping before the
+    first non-finite frame."""
+    u = problem.initial_condition.copy()
+    if isinstance(grid.boundary, Dirichlet):
+        u[0], u[-1] = grid.boundary.left_value, grid.boundary.right_value
+    frames = [u]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_steps):
+            u = step(problem, grid, kind, u)
+            if not np.all(np.isfinite(u)):
+                break
+            frames.append(u)
+    return np.array(frames)
+
+
+class TestBlowupAtBlockEdges:
+    """evolve checks finiteness once per block of rows; wherever the first
+    non-finite frame falls in a block, it keeps what the stepwise march
+    keeps, bit for bit."""
+
+    KIND = EulerStd(dt=0.25)
+
+    @staticmethod
+    def problem_blowing_up_at(grid, kind, target):
+        # b = 1 and c1 = 0.05 make every mode grow by 1.05 to 1.25 a step,
+        # so the first non-finite frame moves one frame earlier for each
+        # step's worth of extra amplitude; bisect the amplitude until the
+        # march first goes non-finite at frame `target`.  The search uses
+        # evolve only for speed: the test holds the problem it returns to
+        # the stepwise march.
+        m = grid.m_points
+        v = np.random.RandomState(m).uniform(-1.0, 1.0, m)
+        v[m // 2] = 1.0
+        a = 0.2 * grid.dx**2
+        big, small = 0.0, 1100.0  # amplitude DBL_MAX * 2**-x
+        for _ in range(60):
+            x = 0.5 * (big + small)
+            problem = PDEProblem(
+                a=a, b=1.0,
+                initial_condition=np.finfo(float).max * 2.0**-x * v)
+            kept = len(evolve(problem, grid, kind, target).frames)
+            if kept == target:
+                return problem
+            if kept < target:
+                big = x
+            else:
+                small = x
+        raise AssertionError(f"no amplitude blows up at frame {target}")
+
+    @pytest.mark.parametrize("boundary", [Periodic(), Dirichlet(0.5, -0.25)])
+    @pytest.mark.parametrize("m", [3, 8, 64, 4096])
+    @pytest.mark.parametrize("edge", ["frame 1", "first row of a block",
+                                      "last row of a block", "final step"])
+    def test_truncation_matches_stepwise(self, boundary, m, edge):
+        rows = max(1, _CHECK_POINTS // m)
+        n_steps = rows + 2
+        target = {"frame 1": 1,
+                  "first row of a block": rows + 1,
+                  "last row of a block": rows,
+                  "final step": n_steps}[edge]
+        grid = Grid1D(x0=0.0, dx=2.0 * math.pi / m, m_points=m,
+                      boundary=boundary)
+        problem = self.problem_blowing_up_at(grid, self.KIND, target)
+        expected = stepwise_evolve(problem, grid, self.KIND, n_steps)
+        assert len(expected) == target
+        frames = evolve(problem, grid, self.KIND, n_steps).frames
+        assert frames.shape == expected.shape
+        assert frames.tobytes() == expected.tobytes()
 
 
 class TestLaplaceModeSolve:
