@@ -3,7 +3,6 @@
 from .config import (
     ConfigError,
     ExperimentConfig,
-    ExperimentKind,
     build_config,
     config_echo,
     parse_config,
@@ -14,7 +13,6 @@ from .report import ExperimentReport, PlotSpec, emit_csv, emit_json, emit_svg
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ExperimentKind",
     "ExperimentReport",
     "PlotSpec",
     "build_config",

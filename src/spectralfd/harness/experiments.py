@@ -1,25 +1,26 @@
-"""Experiment implementations behind ``run_experiment``.
+"""The experiments: one record each, and ``run_experiment`` to run one.
 
-Each experiment returns an ``ExperimentReport`` with a fixed column schema:
-
-    decay_order    -> scheme,h,error,observed_p,exact_flag
-    ho_exact       -> omega,h,n,y_value,exact,abs_err,energy_drift
-    pde_compare    -> method,dt,dx,t_final,max_nodal_error,diverged
-    pde_stability  -> method,k,dt,amplification,stable_flag
-    ml_identities  -> alpha,z,value,oracle,abs_err
-    signature_demo -> alpha_true,alpha_hat,c_hat,residual
-    laplace_bvp    -> level,m_points,dx,max_nodal_error,observed_p
+``_EXPERIMENTS`` maps every experiment name to the one record that declares
+it: its config keys and the checks that couple them, the CLI subcommand
+(and ``--study``) that runs it with that command's help and defaults, its
+report columns, its default SVG plot, and its runner.  ``config`` validates
+against the record, ``cli`` generates its subcommands and flags from the
+records, and ``run_experiment`` runs one.  Adding an experiment means
+writing one record and its runner.
 
 Reports are deterministic for a fixed configuration: no randomness, fixed
 iteration orders, and the generation timestamp confined to report metadata.
 Solver blow-up inside pde_compare is data, not an error: the run stops at
-the last finite frame and the row carries a diverged flag (raised either by
-non-finite values or by a relative error above 1).
+the last finite frame and the row carries a diverged flag (raised by
+non-finite values, or by a relative error above 1 or nan).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .. import __version__
 from .. import ode_schemes as ode
 from .. import pde_solvers as pde
 from .. import propagators
-from ..specfun import MLParams, mittag_leffler
-from .config import ExperimentConfig, ExperimentKind, config_echo
-from .report import ExperimentReport
+from ..specfun import ALPHA_MIN, MLParams, mittag_leffler
+from .config import ExperimentConfig, Field, config_echo
+from .report import ExperimentReport, PlotSpec
 
 __all__ = ["run_experiment", "DIVERGENCE_THRESHOLD"]
 
@@ -37,24 +38,153 @@ __all__ = ["run_experiment", "DIVERGENCE_THRESHOLD"]
 # values are still finite (coarse blow-up detection for short runs).
 DIVERGENCE_THRESHOLD = 1.0
 
+# The most points one array of a run may hold (512 MiB of float64): far
+# above every shipped config, far below what would exhaust memory or run
+# for hours.
+MAX_ARRAY_POINTS = 2**26
+
+# The largest ho_exact amplitude hypot(y0, v0/omega): the report's amplitude
+# invariant squares values of this size, and must stay finite.
+MAX_OSCILLATOR_AMPLITUDE = math.sqrt(sys.float_info.max) / 2
+
+# The most samples a signature_demo run may take.  Each is one
+# Mittag-Leffler evaluation, so this bounds work rather than memory: about
+# half a second of evaluations.
+MAX_SIGNATURE_SAMPLES = 10_000
+
 _SCHEME_BY_NAME = {f.value: f for f in ode.SchemeFamily}
+_PDE_METHODS = ("euler", "nsfd", "spectral_modal", "spectral_phys")
+_PROPAGATORS = ("local_exp", "nonlocal_ml")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the configured experiment and assemble its report."""
-    runner = _RUNNERS[config.experiment]
-    columns, rows = runner(config.as_dict())
+    experiment = _EXPERIMENTS[config.experiment]
     return ExperimentReport(
-        experiment=config.experiment.value,
-        columns=columns,
-        rows=rows,
+        experiment=config.experiment,
+        columns=experiment.columns,
+        rows=experiment.run(config.as_dict()),
         config_lines=tuple(config_echo(config).splitlines()),
         tool_version=__version__,
     )
 
 
-def _run_decay_order(p: dict):
-    columns = ("scheme", "h", "error", "observed_p", "exact_flag")
+def _positive(v) -> Optional[str]:
+    return None if v > 0 else "must be positive"
+
+
+def _nonnegative(v) -> Optional[str]:
+    return None if v >= 0 else "must be >= 0"
+
+
+def _at_least(low: int) -> Callable[[object], Optional[str]]:
+    return lambda v: None if v >= low else f"must be >= {low}"
+
+
+def _positive_list(v) -> Optional[str]:
+    return None if all(x > 0 for x in v) else "entries must be positive"
+
+
+def _in_names(allowed) -> Callable[[object], Optional[str]]:
+    def check(v) -> Optional[str]:
+        bad = [x for x in v if x not in allowed]
+        return (f"unknown entries {bad}; allowed: {', '.join(allowed)}"
+                if bad else None)
+    return check
+
+
+# --- checks that couple keys -------------------------------------------------
+# Each runs after every field is valid and reports through bad(key, message).
+
+def _divides(t_final: float, step: float) -> bool:
+    ratio = t_final / step if step > 0.0 else math.inf
+    return (math.isfinite(ratio) and round(ratio) >= 1
+            and abs(ratio - round(ratio)) <= 1e-9)
+
+
+def _too_large(bad, key: str) -> None:
+    bad(key, f"the run would hold more than {MAX_ARRAY_POINTS} points "
+             "in one array")
+
+
+def _refined_too_large(base: float, levels: int) -> bool:
+    # base * 2**(levels - 1) + 1 > MAX_ARRAY_POINTS, compared in log2 so
+    # that a huge `levels` neither overflows a float nor builds a huge
+    # integer (an int-float comparison is exact)
+    return base > 0.0 and (levels - 1 > math.log2(MAX_ARRAY_POINTS - 1)
+                           - math.log2(base))
+
+
+def _check_decay_order(v: dict, bad) -> None:
+    # the finest level marches t_final / (h0 / 2**(levels - 1)) steps
+    if _refined_too_large(v["t_final"] / v["h0"], v["levels"]):
+        _too_large(bad, "levels")
+        return
+    # the run's steps h0 / 2**i; unlike 2**i, ldexp cannot overflow
+    for i in range(v["levels"]):
+        h = math.ldexp(v["h0"], -i)
+        if not _divides(v["t_final"], h):
+            bad("h0", f"step {h!r} does not divide t_final")
+            return
+
+
+def _check_ho_exact(v: dict, bad) -> None:
+    if v["omega"] * v["h"] / 2.0 >= math.pi:
+        bad("h", "omega*h/2 must stay below pi")
+    if v["n_steps"] + 1 > MAX_ARRAY_POINTS:
+        _too_large(bad, "n_steps")
+    if math.hypot(v["y0"], v["v0"] / v["omega"]) > MAX_OSCILLATOR_AMPLITUDE:
+        bad("y0", "the amplitude hypot(y0, v0/omega) exceeds "
+                  f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
+
+
+def _check_pde_compare(v: dict, bad) -> None:
+    for dt in v["dt"]:
+        if not _divides(v["t_final"], dt):
+            bad("dt", f"entry {dt!r} does not divide t_final")
+    # frames: (t_final / min(dt) + 1) x m_points
+    frames = v["t_final"] / min(v["dt"]) + 1.0
+    if v["m_points"] > MAX_ARRAY_POINTS / frames:
+        _too_large(bad, "dt")
+    # sin(2 pi ic_mode x_m / domain_length) samples sin(pi * integer)
+    # when 2 ic_mode is a multiple of m_points: roundoff, not a mode
+    if v["ic_mode"] > 0 and 2 * v["ic_mode"] % v["m_points"] == 0:
+        bad("ic_mode", "the initial sine vanishes at every grid point "
+                       "when 2 ic_mode is a multiple of m_points")
+    # the exact solution's amplitude, as the runner's error scale forms it
+    try:
+        k = 2.0 * math.pi * v["ic_mode"] / v["domain_length"]
+        amplitude = math.exp((v["b"] - v["a"] * k**2) * v["t_final"])
+    except OverflowError:
+        amplitude = math.inf
+    if not 0.0 < amplitude < math.inf:
+        bad("t_final", "exp((b - a k^2) t) leaves the double range by "
+                       "t = t_final, with k = 2 pi ic_mode / domain_length")
+
+
+def _check_pde_stability(v: dict, bad) -> None:
+    if v["m_points"] > MAX_ARRAY_POINTS:
+        _too_large(bad, "m_points")
+
+
+def _check_signature_demo(v: dict, bad) -> None:
+    if v["t_max"] <= v["t_min"]:
+        bad("t_max", "must exceed t_min")
+    if v["propagator"] == "nonlocal_ml" and v["alpha"] < ALPHA_MIN:
+        bad("alpha", f"must be >= {ALPHA_MIN:g} for nonlocal_ml")
+
+
+def _check_laplace_bvp(v: dict, bad) -> None:
+    if v["s"] <= v["b"]:
+        bad("s", "must exceed b (decaying transform regime)")
+    # the finest grid has (m0 - 1) * 2**(levels - 1) + 1 points
+    if _refined_too_large(v["m0"] - 1, v["levels"]):
+        _too_large(bad, "levels")
+
+
+# --- runners: validated values -> report rows --------------------------------
+
+def _run_decay_order(p: dict) -> list:
     rows = []
     for name in p["schemes"]:
         family = _SCHEME_BY_NAME[name]
@@ -62,12 +192,10 @@ def _run_decay_order(p: dict):
                                          p["t_final"], p["h0"], p["levels"]):
             rows.append((name, sample.h, sample.error, sample.observed_p,
                          sample.exact))
-    return columns, rows
+    return rows
 
 
-def _run_ho_exact(p: dict):
-    columns = ("omega", "h", "n", "y_value", "exact", "abs_err",
-               "energy_drift")
+def _run_ho_exact(p: dict) -> list:
     omega, h, n_steps = p["omega"], p["h"], p["n_steps"]
     y0, v0 = p["y0"], p["v0"]
     y1 = ode.ho_initial_from_velocity(omega, h, y0, v0)
@@ -87,38 +215,27 @@ def _run_ho_exact(p: dict):
         exact = y0 * math.cos(omega * t) + v0 * math.sin(omega * t) / omega
         rows.append((omega, h, n, float(y[n]), exact,
                      abs(float(y[n]) - exact), drifts.get(n)))
-    return columns, rows
-
-
-def _pde_setup(p: dict):
-    m = p["m_points"]
-    length = p["domain_length"]
-    grid = pde.Grid1D(x0=0.0, dx=length / m, m_points=m,
-                      boundary=pde.Periodic())
-    k_phys = 2.0 * math.pi * p["ic_mode"] / length
-    ic = np.sin(k_phys * grid.points) if p["ic_mode"] > 0 \
-        else np.ones(m)
-    problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic)
-    return grid, problem, k_phys
+    return rows
 
 
 def _solver_kind(name: str, dt: float, problem, grid, p: dict):
-    if name == "euler":
-        return pde.EulerStd(dt=dt)
-    if name == "nsfd":
-        return pde.Nsfd(dt=dt)
-    if name == "spectral_modal":
-        return pde.SpectralModal(dt=dt)
-    k_default, s_default = pde.default_spectral_params(problem, grid)
-    k = p.get("k_mode", k_default)
-    s = p.get("s_mode", s_default)
-    return pde.SpectralPhys(dt=dt, k=k, s=s)
+    if name == "spectral_phys":
+        k, s = pde.default_spectral_params(problem, grid)
+        return pde.SpectralPhys(dt=dt, k=p.get("k_mode", k),
+                                s=p.get("s_mode", s))
+    return {"euler": pde.EulerStd, "nsfd": pde.Nsfd,
+            "spectral_modal": pde.SpectralModal}[name](dt=dt)
 
 
-def _run_pde_compare(p: dict):
-    columns = ("method", "dt", "dx", "t_final", "max_nodal_error", "diverged")
-    grid, problem, k_phys = _pde_setup(p)
+def _run_pde_compare(p: dict) -> list:
+    m, length = p["m_points"], p["domain_length"]
+    grid = pde.Grid1D(x0=0.0, dx=length / m, m_points=m,
+                      boundary=pde.Periodic())
+    k_phys = 2.0 * math.pi * p["ic_mode"] / length
+    ic = np.sin(k_phys * grid.points) if p["ic_mode"] > 0 else np.ones(m)
+    problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic)
     growth = problem.b - problem.a * k_phys**2
+    u0_max = float(np.max(np.abs(ic)))
     rows = []
     for method in p["methods"]:
         for dt in p["dt"]:
@@ -126,17 +243,25 @@ def _run_pde_compare(p: dict):
             kind = _solver_kind(method, dt, problem, grid, p)
             traj = pde.evolve(problem, grid, kind, n_steps)
             t_end = float(traj.times[-1])
-            exact = math.exp(growth * t_end) * problem.initial_condition
-            scale = float(np.max(np.abs(exact)))
+            exact = math.exp(growth * t_end) * ic
+            # no mode, the initial data's roundoff included, grows faster
+            # than e^{bt}: a decayed mode is measured against that roundoff
+            # (left out where e^{bt} overflows), not its vanishing amplitude
+            try:
+                noise = (m * sys.float_info.epsilon * u0_max
+                         * math.exp(max(problem.b, 0.0) * t_end))
+            except OverflowError:
+                noise = 0.0
+            scale = max(float(np.max(np.abs(exact))), noise)
             err = float(np.max(np.abs(traj.frames[-1] - exact))) / scale
             truncated = len(traj.frames) < n_steps + 1
-            diverged = truncated or err > DIVERGENCE_THRESHOLD
+            # a nan error is no evidence of convergence
+            diverged = truncated or not err <= DIVERGENCE_THRESHOLD
             rows.append((method, dt, grid.dx, t_end, err, diverged))
-    return columns, rows
+    return rows
 
 
-def _run_pde_stability(p: dict):
-    columns = ("method", "k", "dt", "amplification", "stable_flag")
+def _run_pde_stability(p: dict) -> list:
     m = p["m_points"]
     grid = pde.Grid1D(x0=0.0, dx=p["dx"], m_points=m, boundary=pde.Periodic())
     problem = pde.PDEProblem(a=p["a"], b=p["b"],
@@ -152,11 +277,10 @@ def _run_pde_stability(p: dict):
             # tolist() gives the report Python floats and bools
             rows.extend(zip([method] * len(g), wavenumbers, [dt] * len(g),
                             g.tolist(), stable.tolist()))
-    return columns, rows
+    return rows
 
 
-def _run_ml_identities(p: dict):
-    columns = ("alpha", "z", "value", "oracle", "abs_err")
+def _run_ml_identities(p: dict) -> list:
     tol = p["tol"]
     rows = []
     for z in range(-10, 6):
@@ -170,26 +294,22 @@ def _run_ml_identities(p: dict):
     for alpha in p["alphas"]:
         value = mittag_leffler(MLParams(alpha=alpha, tol=tol), 0.0)
         rows.append((alpha, 0.0, value, 1.0, abs(value - 1.0)))
-    return columns, rows
+    return rows
 
 
-def _run_signature_demo(p: dict):
-    columns = ("alpha_true", "alpha_hat", "c_hat", "residual")
+def _run_signature_demo(p: dict) -> list:
     times = propagators.origin_window(p["n_samples"], p["t_min"], p["t_max"])
     alpha, rate = p["alpha"], p["lambda"]
-    if p["propagator"] == "local_exp":
-        wave = [1.0 - propagators.local_propagator(rate, alpha, float(t))
-                for t in times]
-    else:
-        wave = [1.0 - propagators.nonlocal_propagator(rate, alpha, float(t))
-                for t in times]
+    propagator = (propagators.local_propagator
+                  if p["propagator"] == "local_exp"
+                  else propagators.nonlocal_propagator)
+    wave = [1.0 - propagator(rate, alpha, float(t)) for t in times]
     signature = propagators.signature_fit(zip(times.tolist(), wave))
-    return columns, [(alpha, signature.alpha_hat, signature.c_hat,
-                      signature.fit_residual)]
+    return [(alpha, signature.alpha_hat, signature.c_hat,
+             signature.fit_residual)]
 
 
-def _run_laplace_bvp(p: dict):
-    columns = ("level", "m_points", "dx", "max_nodal_error", "observed_p")
+def _run_laplace_bvp(p: dict) -> list:
     rows = []
     prev_err = None
     mode = p["ic_mode"]
@@ -207,15 +327,146 @@ def _run_laplace_bvp(p: dict):
         observed = math.log2(prev_err / err) if prev_err else None
         rows.append((level, m, grid.dx, err, observed))
         prev_err = err
-    return columns, rows
+    return rows
 
 
-_RUNNERS = {
-    ExperimentKind.DECAY_ORDER: _run_decay_order,
-    ExperimentKind.HO_EXACT: _run_ho_exact,
-    ExperimentKind.PDE_COMPARE: _run_pde_compare,
-    ExperimentKind.PDE_STABILITY: _run_pde_stability,
-    ExperimentKind.ML_IDENTITIES: _run_ml_identities,
-    ExperimentKind.SIGNATURE_DEMO: _run_signature_demo,
-    ExperimentKind.LAPLACE_BVP: _run_laplace_bvp,
+# --- the table ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything that declares one experiment."""
+
+    command: str                 # the CLI subcommand that runs it
+    study: Optional[str]         # its --study value; the first is the default
+    help: str                    # the subcommand's help text
+    fields: tuple[Field, ...]    # its config keys
+    columns: tuple[str, ...]     # its report's columns
+    plot: PlotSpec               # its SVG
+    run: Callable[[dict], list]  # validated values -> report rows
+    check: Callable[[dict, Callable[[str, str], None]], None] = \
+        lambda values, bad: None
+    # CLI values for keys a config file must give itself
+    cli_defaults: dict[str, str] = field(default_factory=dict)
+
+
+_PDE_HELP = "diffusion-reaction comparison/stability"
+
+_EXPERIMENTS: dict[str, _Experiment] = {
+    "decay_order": _Experiment(
+        "decay", None, "decay-equation order study",
+        fields=(Field("lambda", "float", required=True, check=_positive),
+                Field("t_final", "float", required=True, check=_positive),
+                Field("h0", "float", required=True, check=_positive),
+                Field("levels", "int", required=True, check=_at_least(4)),
+                Field("x0", "float", default=1.0),
+                Field("schemes", "str_list", default=tuple(_SCHEME_BY_NAME),
+                      check=_in_names(tuple(_SCHEME_BY_NAME)))),
+        columns=("scheme", "h", "error", "observed_p", "exact_flag"),
+        plot=PlotSpec(x="h", y="error", logx=True, logy=True,
+                      group_by=("scheme",)),
+        run=_run_decay_order, check=_check_decay_order,
+        cli_defaults={"lambda": "1.0", "t_final": "1.0", "h0": "0.125",
+                      "levels": "6"},
+    ),
+    "ho_exact": _Experiment(
+        "ho", None, "exact harmonic-oscillator run",
+        fields=(Field("omega", "float", required=True, check=_positive),
+                Field("h", "float", required=True, check=_positive),
+                Field("n_steps", "int", required=True, check=_at_least(2)),
+                Field("y0", "float", default=1.0),
+                Field("v0", "float", default=0.0)),
+        columns=("omega", "h", "n", "y_value", "exact", "abs_err",
+                 "energy_drift"),
+        plot=PlotSpec(x="n", y="abs_err", logx=True, logy=True),
+        run=_run_ho_exact, check=_check_ho_exact,
+        cli_defaults={"omega": "1.0", "h": "0.7", "n_steps": "10000"},
+    ),
+    "pde_compare": _Experiment(
+        "pde", "compare", _PDE_HELP,
+        fields=(Field("a", "float", required=True, check=_nonnegative),
+                Field("b", "float", required=True),
+                Field("ic_mode", "int", required=True, check=_nonnegative),
+                Field("m_points", "int", default=64, check=_at_least(3)),
+                Field("domain_length", "float", default=2.0 * math.pi,
+                      check=_positive),
+                Field("t_final", "float", required=True, check=_positive),
+                Field("dt", "float_list", required=True, check=_positive_list),
+                Field("methods", "str_list",
+                      default=("euler", "nsfd", "spectral_modal"),
+                      check=_in_names(_PDE_METHODS)),
+                Field("k_mode", "float", default=None),
+                Field("s_mode", "float", default=None)),
+        columns=("method", "dt", "dx", "t_final", "max_nodal_error",
+                 "diverged"),
+        plot=PlotSpec(x="dt", y="max_nodal_error", logx=True, logy=True,
+                      group_by=("method",)),
+        run=_run_pde_compare, check=_check_pde_compare,
+        cli_defaults={"a": "1.0", "b": "0.0", "ic_mode": "1",
+                      "t_final": "2.0", "dt": "0.01,0.1,1.0"},
+    ),
+    "pde_stability": _Experiment(
+        "pde", "stability", _PDE_HELP,
+        fields=(Field("a", "float", required=True, check=_nonnegative),
+                Field("b", "float", required=True),
+                Field("dx", "float", required=True, check=_positive),
+                Field("m_points", "int", default=32, check=_at_least(3)),
+                Field("dt", "float_list", required=True, check=_positive_list),
+                Field("methods", "str_list",
+                      default=("euler", "nsfd", "spectral_modal"),
+                      check=_in_names(_PDE_METHODS)),
+                Field("k_mode", "float", default=None),
+                Field("s_mode", "float", default=None)),
+        columns=("method", "k", "dt", "amplification", "stable_flag"),
+        plot=PlotSpec(x="k", y="amplification", group_by=("method", "dt")),
+        run=_run_pde_stability, check=_check_pde_stability,
+        # the CLI's m_points of 64 overrides the field's 32
+        cli_defaults={"a": "1.0", "b": "0.0", "dx": "0.1", "m_points": "64",
+                      "dt": "0.01,0.1,1.0"},
+    ),
+    "ml_identities": _Experiment(
+        "ml", None, "Mittag-Leffler identity checks",
+        fields=(Field("tol", "float", default=1e-12,
+                      check=lambda v: None if 0.0 < v < 1.0
+                      else "must lie in (0, 1)"),
+                Field("alphas", "float_list",
+                      default=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
+                               1.0),
+                      check=lambda v: None
+                      if all(ALPHA_MIN <= x <= 1.0 for x in v)
+                      else f"entries must lie in [{ALPHA_MIN:g}, 1]")),
+        columns=("alpha", "z", "value", "oracle", "abs_err"),
+        plot=PlotSpec(x="z", y="abs_err", logy=True, group_by=("alpha",)),
+        run=_run_ml_identities,
+    ),
+    "signature_demo": _Experiment(
+        "signature", None, "near-origin signature fit demo",
+        fields=(Field("alpha", "float", required=True,
+                      check=lambda v: None if 0.0 < v <= 1.0
+                      else "must lie in (0, 1]"),
+                Field("lambda", "float", default=1.0, check=_positive),
+                Field("n_samples", "int", default=24,
+                      check=lambda v: None if 8 <= v <= MAX_SIGNATURE_SAMPLES
+                      else f"must lie in [8, {MAX_SIGNATURE_SAMPLES}]"),
+                Field("t_min", "float", default=1e-4, check=_positive),
+                Field("t_max", "float", default=1e-2, check=_positive),
+                Field("propagator", "str", default="nonlocal_ml",
+                      check=lambda v: None if v in _PROPAGATORS
+                      else f"must be one of: {', '.join(_PROPAGATORS)}")),
+        columns=("alpha_true", "alpha_hat", "c_hat", "residual"),
+        plot=PlotSpec(x="alpha_true", y="alpha_hat"),
+        run=_run_signature_demo, check=_check_signature_demo,
+    ),
+    "laplace_bvp": _Experiment(
+        "laplace", None, "Laplace-mode BVP convergence",
+        fields=(Field("a", "float", required=True, check=_positive),
+                Field("b", "float", required=True),
+                Field("s", "float", required=True),
+                Field("levels", "int", default=4, check=_at_least(2)),
+                Field("m0", "int", default=11, check=_at_least(5)),
+                Field("ic_mode", "int", default=1, check=_positive)),
+        columns=("level", "m_points", "dx", "max_nodal_error", "observed_p"),
+        plot=PlotSpec(x="dx", y="max_nodal_error", logx=True, logy=True),
+        run=_run_laplace_bvp, check=_check_laplace_bvp,
+        cli_defaults={"a": "1.0", "b": "0.0", "s": "2.0"},
+    ),
 }

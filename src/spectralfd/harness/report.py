@@ -136,6 +136,8 @@ def _axis(values: list[float], log: bool, p0: float, span: float):
         lo, hi = (lo / 10.0, hi * 10.0) if lo == hi else (lo / 1.2, hi * 1.2)
     else:
         pad = (abs(lo) * 0.1 or 1.0) if lo == hi else (hi - lo) * 0.05
+        # at least a few ulps, so that _ticks steps by more than half an ulp
+        pad = max(pad, 8 * math.ulp(max(abs(lo), abs(hi))))
         lo, hi = lo - pad, hi + pad
     # the padded ends stay finite, and positive on a log axis
     lo = max(lo, math.ulp(0.0) if log else -sys.float_info.max)

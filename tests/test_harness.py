@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spectralfd
 from spectralfd import ode_schemes
 from spectralfd.harness import (
     ConfigError,
-    ExperimentKind,
     ExperimentReport,
     PlotSpec,
     build_config,
@@ -25,10 +28,10 @@ from spectralfd.harness import (
 )
 from spectralfd.harness import cli
 from spectralfd.harness.cli import _build_parser, main
-from spectralfd.harness.config import (
+from spectralfd.harness.experiments import (
+    _EXPERIMENTS,
     MAX_OSCILLATOR_AMPLITUDE,
     MAX_SIGNATURE_SAMPLES,
-    _SCHEMAS,
 )
 from spectralfd.harness.report import UnknownColumnError
 
@@ -101,7 +104,7 @@ def csv_rows(path) -> list[dict]:
 class TestParseConfig:
     def test_happy_path(self):
         config = parse_config(GOLDEN_CONFIGS["decay_order"])
-        assert config.experiment is ExperimentKind.DECAY_ORDER
+        assert config.experiment == "decay_order"
         assert config.get("lambda") == 1.0
         assert config.get("levels") == 5
         assert config.get("x0") == 1.0  # default filled
@@ -192,7 +195,7 @@ class TestParseConfig:
                 == ["line 4: n_steps: expected an integer"])
 
     def test_build_config_takes_config_strings(self):
-        built = build_config(ExperimentKind.PDE_COMPARE, {
+        built = build_config("pde_compare", {
             "a": "1.0", "b": "0.0", "ic_mode": "1", "m_points": "32",
             "t_final": "10.0", "dt": "1.0, 0.1"})
         assert built == parse_config(GOLDEN_CONFIGS["pde_compare"])
@@ -200,27 +203,63 @@ class TestParseConfig:
     def test_build_config_reads_values_as_text(self):
         # a number is read as the text it prints as: never truncated
         with pytest.raises(ConfigError, match="n_steps: expected an integer"):
-            build_config(ExperimentKind.HO_EXACT,
+            build_config("ho_exact",
                          {"omega": 1.0, "h": 0.7, "n_steps": 6.5})
         with pytest.raises(ConfigError, match="dt: could not convert"):
-            build_config(ExperimentKind.PDE_COMPARE, {
+            build_config("pde_compare", {
                 "a": "1", "b": "0", "ic_mode": "1", "t_final": "1",
                 "dt": (0.5,)})
 
     def test_build_config_equivalent_to_text(self):
-        built = build_config(ExperimentKind.SIGNATURE_DEMO, {"alpha": 0.7})
+        built = build_config("signature_demo", {"alpha": 0.7})
         parsed = parse_config("experiment = signature_demo\nalpha = 0.7\n")
         assert built == parsed
 
     def test_signature_sample_bound(self):
         for n in (8, MAX_SIGNATURE_SAMPLES):
-            built = build_config(ExperimentKind.SIGNATURE_DEMO,
+            built = build_config("signature_demo",
                                  {"alpha": 0.7, "n_samples": n})
             assert built.as_dict()["n_samples"] == n
         for n in (7, MAX_SIGNATURE_SAMPLES + 1):
             with pytest.raises(ConfigError, match="n_samples: must lie in"):
-                build_config(ExperimentKind.SIGNATURE_DEMO,
+                build_config("signature_demo",
                              {"alpha": 0.7, "n_samples": n})
+
+
+    def test_unknown_experiment_lists_the_allowed(self):
+        allowed = ("allowed: decay_order, ho_exact, pde_compare, "
+                   "pde_stability, ml_identities, signature_demo, laplace_bvp")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("# study\nexperiment = bogus\nlambda = 1\n")
+        assert ([str(v) for v in excinfo.value.violations]
+                == [f"line 2: experiment: unknown experiment; {allowed}"])
+        with pytest.raises(ConfigError) as excinfo:
+            build_config("bogus", {})
+        assert ([str(v) for v in excinfo.value.violations]
+                == [f"experiment: unknown experiment; {allowed}"])
+
+
+class TestExperimentTable:
+    """Each record of the experiment table is consistent with itself."""
+
+    @pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
+    def test_plot_names_only_its_own_columns(self, name):
+        e = _EXPERIMENTS[name]
+        assert {e.plot.x, e.plot.y, *e.plot.group_by} <= set(e.columns)
+
+    @pytest.mark.parametrize("name", sorted(_EXPERIMENTS))
+    def test_cli_defaults_are_valid_fields(self, name):
+        e = _EXPERIMENTS[name]
+        assert set(e.cli_defaults) <= {f.name for f in e.fields}
+        extra = {"alpha": "0.7"} if name == "signature_demo" else {}
+        config = build_config(name, {**e.cli_defaults, **extra})
+        assert config.experiment == name
+
+    def test_every_command_and_study_runs_one_experiment(self):
+        keys = [(e.command, e.study) for e in _EXPERIMENTS.values()]
+        assert len(set(keys)) == len(keys)
+        assert {tuple(SUBCOMMAND[name]) for name in _EXPERIMENTS} == {
+            (c,) if s is None else (c, "--study", s) for c, s in keys}
 
 
 class TestReportEmission:
@@ -334,6 +373,37 @@ class TestReportEmission:
         assert all(math.isfinite(float(c)) for p in points
                    for c in p.split(","))
 
+    def test_svg_nearly_flat_axis(self, tmp_path):
+        # a linear axis a few ulps wide once made the tick loop spin
+        # forever; a child process with a timeout turns a hang into a failure
+        cases = [(1.0, math.nextafter(1.0, 2.0)),
+                 (-1.0, math.nextafter(-1.0, 0.0)),
+                 (1e300, math.nextafter(1e300, math.inf)),
+                 (5e-324, 1e-323), (-5e-324, 5e-324)]
+        code = (
+            "import ast, sys\n"
+            "from spectralfd.harness.report import (ExperimentReport,\n"
+            "                                       PlotSpec, emit_svg)\n"
+            "for i, ys in enumerate(ast.literal_eval(sys.argv[1])):\n"
+            "    report = ExperimentReport('flat', ('n', 'y'),\n"
+            "                              list(enumerate(ys)), (), '0')\n"
+            "    emit_svg(report, PlotSpec(x='n', y='y'),\n"
+            "             f'{sys.argv[2]}/{i}.svg')\n"
+        )
+        src = str(Path(spectralfd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code, repr(cases),
+                        str(tmp_path)], env=env, check=True, timeout=60)
+        for i in range(len(cases)):
+            root = ET.parse(tmp_path / f"{i}.svg").getroot()
+            labels = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")
+                      if e.attrib.get("text-anchor") == "end"]
+            assert 1 <= len(labels) <= 12  # the y-axis tick labels
+            (polyline,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+            coords = [float(c) for p in polyline.attrib["points"].split()
+                      for c in p.split(",")]
+            assert len(coords) == 4 and all(map(math.isfinite, coords))
+
     def test_svg_unknown_column(self, tmp_path):
         config = parse_config(GOLDEN_CONFIGS["decay_order"])
         report = run_experiment(config)
@@ -397,7 +467,7 @@ class TestExperimentSemantics:
                                                   (2.3, 0.05, -0.4, 1.7)])
     def test_ho_energy_drift_matches_full_invariant(self, n_steps, omega, h,
                                                     y0, v0):
-        report = run_experiment(build_config(ExperimentKind.HO_EXACT, {
+        report = run_experiment(build_config("ho_exact", {
             "omega": omega, "h": h, "n_steps": n_steps, "y0": y0, "v0": v0}))
         y = ode_schemes.ho_exact_solve(
             omega, h, n_steps, y0,
@@ -631,6 +701,36 @@ class TestCli:
         assert len(csv_rows(tmp_path / "pde_compare.csv")) == 9
 
     @pytest.mark.parametrize("argv", [
+        ["pde", "--ic-mode", "10"], ["pde", "--ic-mode", "18"],
+        ["pde", "--ic-mode", "19"], ["pde", "--ic-mode", "18", "--b", "5"],
+    ])
+    def test_decayed_mode_is_measured_against_roundoff(self, argv,
+                                                       tmp_path):
+        # the exact amplitude falls below the roundoff the other modes
+        # carry: against it alone the exact scheme read as diverged (6.65e265
+        # at ic_mode 18)
+        argv = argv + ["--methods", "spectral_modal", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = csv_rows(tmp_path / "pde_compare.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["max_nodal_error"]) <= 0.1
+            assert row["diverged"] == "false"
+
+    def test_error_scale_past_the_double_range(self, tmp_path):
+        # e^{b t} = e^780 overflows: the amplitude alone is the scale, and
+        # the modal march's nan error counts as diverged
+        argv = ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10",
+                "--t-final", "0.78", "--dt", "0.78", "--methods",
+                "euler,spectral_modal", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 0
+        euler, modal = csv_rows(tmp_path / "pde_compare.csv")
+        assert (euler["max_nodal_error"], euler["diverged"]) == ("1", "false")
+        assert (modal["max_nodal_error"], modal["diverged"]) == ("nan", "true")
+
+    @pytest.mark.parametrize("argv", [
         ["ho", "--y0", "1e155", "--n-steps", "1000"],
         ["ho", "--y0", "1e308", "--v0", "1e308"],
     ])
@@ -711,7 +811,7 @@ class TestCli:
         flags = set(re.findall(r"(?<![\w-])--[a-z0-9-]+",
                                capsys.readouterr().out))
         keys = {f.name for kind, argv in SUBCOMMAND.items()
-                if argv[0] == command for f in _SCHEMAS[ExperimentKind(kind)]}
+                if argv[0] == command for f in _EXPERIMENTS[kind].fields}
         assert (flags - {"--help", "--study", "--out", "--format"}
                 == {"--" + key.replace("_", "-") for key in keys})
 
