@@ -166,9 +166,9 @@ def _validate(name: str, raw: dict[str, str],
         experiment.check(values, bad)
     if violations:
         raise ConfigError(violations)
-    # a default of None leaves the key out
-    params = sorted((k, v) for k, v in values.items() if v is not None)
-    return ExperimentConfig(experiment=name, params=tuple(params))
+    dropped_defaults = {k: v for k, v in values.items() if v is not None}
+    return ExperimentConfig(experiment=name,
+                            params=tuple(sorted(dropped_defaults.items())))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -192,7 +192,8 @@ def parse_config(text: str) -> ExperimentConfig:
             violations.append(Violation(lineno, stripped, "expected 'key = value'"))
             continue
         key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
+        key = key.strip()
+        value = value.strip()
         if not key:
             violations.append(Violation(lineno, stripped, "empty key"))
             continue

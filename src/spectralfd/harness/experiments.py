@@ -219,12 +219,16 @@ def _run_ho_exact(p: dict) -> list:
 
 
 def _solver_kind(name: str, dt: float, problem, grid, p: dict):
-    if name == "spectral_phys":
-        k, s = pde.default_spectral_params(problem, grid)
-        return pde.SpectralPhys(dt=dt, k=p.get("k_mode", k),
-                                s=p.get("s_mode", s))
-    return {"euler": pde.EulerStd, "nsfd": pde.Nsfd,
-            "spectral_modal": pde.SpectralModal}[name](dt=dt)
+    if name == "euler":
+        return pde.EulerStd(dt=dt)
+    if name == "nsfd":
+        return pde.Nsfd(dt=dt)
+    if name == "spectral_modal":
+        return pde.SpectralModal(dt=dt)
+    k_default, s_default = pde.default_spectral_params(problem, grid)
+    k = p.get("k_mode", k_default)
+    s = p.get("s_mode", s_default)
+    return pde.SpectralPhys(dt=dt, k=k, s=s)
 
 
 def _run_pde_compare(p: dict) -> list:
@@ -246,11 +250,10 @@ def _run_pde_compare(p: dict) -> list:
             exact = math.exp(growth * t_end) * ic
             # no mode, the initial data's roundoff included, grows faster
             # than e^{bt}: a decayed mode is measured against that roundoff
-            # (left out where e^{bt} overflows), not its vanishing amplitude
             try:
                 noise = (m * sys.float_info.epsilon * u0_max
-                         * math.exp(max(problem.b, 0.0) * t_end))
-            except OverflowError:
+                         * math.exp(problem.b * t_end))
+            except OverflowError:  # past the double range: no floor
                 noise = 0.0
             scale = max(float(np.max(np.abs(exact))), noise)
             err = float(np.max(np.abs(traj.frames[-1] - exact))) / scale
@@ -300,10 +303,12 @@ def _run_ml_identities(p: dict) -> list:
 def _run_signature_demo(p: dict) -> list:
     times = propagators.origin_window(p["n_samples"], p["t_min"], p["t_max"])
     alpha, rate = p["alpha"], p["lambda"]
-    propagator = (propagators.local_propagator
-                  if p["propagator"] == "local_exp"
-                  else propagators.nonlocal_propagator)
-    wave = [1.0 - propagator(rate, alpha, float(t)) for t in times]
+    if p["propagator"] == "local_exp":
+        wave = [1.0 - propagators.local_propagator(rate, alpha, float(t))
+                for t in times]
+    else:
+        wave = [1.0 - propagators.nonlocal_propagator(rate, alpha, float(t))
+                for t in times]
     signature = propagators.signature_fit(zip(times.tolist(), wave))
     return [(alpha, signature.alpha_hat, signature.c_hat,
              signature.fit_residual)]
@@ -351,6 +356,12 @@ class _Experiment:
 
 _PDE_HELP = "diffusion-reaction comparison/stability"
 
+_PDE_SOLVER_FIELDS = (
+    Field("methods", "str_list", default=("euler", "nsfd", "spectral_modal"),
+          check=_in_names(_PDE_METHODS)),
+    Field("k_mode", "float", default=None),
+    Field("s_mode", "float", default=None))
+
 _EXPERIMENTS: dict[str, _Experiment] = {
     "decay_order": _Experiment(
         "decay", None, "decay-equation order study",
@@ -391,11 +402,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                       check=_positive),
                 Field("t_final", "float", required=True, check=_positive),
                 Field("dt", "float_list", required=True, check=_positive_list),
-                Field("methods", "str_list",
-                      default=("euler", "nsfd", "spectral_modal"),
-                      check=_in_names(_PDE_METHODS)),
-                Field("k_mode", "float", default=None),
-                Field("s_mode", "float", default=None)),
+                *_PDE_SOLVER_FIELDS),
         columns=("method", "dt", "dx", "t_final", "max_nodal_error",
                  "diverged"),
         plot=PlotSpec(x="dt", y="max_nodal_error", logx=True, logy=True,
@@ -411,11 +418,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 Field("dx", "float", required=True, check=_positive),
                 Field("m_points", "int", default=32, check=_at_least(3)),
                 Field("dt", "float_list", required=True, check=_positive_list),
-                Field("methods", "str_list",
-                      default=("euler", "nsfd", "spectral_modal"),
-                      check=_in_names(_PDE_METHODS)),
-                Field("k_mode", "float", default=None),
-                Field("s_mode", "float", default=None)),
+                *_PDE_SOLVER_FIELDS),
         columns=("method", "k", "dt", "amplification", "stable_flag"),
         plot=PlotSpec(x="k", y="amplification", group_by=("method", "dt")),
         run=_run_pde_stability, check=_check_pde_stability,

@@ -391,7 +391,9 @@ class TestReportEmission:
             "             f'{sys.argv[2]}/{i}.svg')\n"
         )
         src = str(Path(spectralfd.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         subprocess.run([sys.executable, "-c", code, repr(cases),
                         str(tmp_path)], env=env, check=True, timeout=60)
         for i in range(len(cases)):
@@ -716,6 +718,16 @@ class TestCli:
         for row in rows:
             assert float(row["max_nodal_error"]) <= 0.1
             assert row["diverged"] == "false"
+
+    def test_decaying_run_keeps_its_error(self, tmp_path):
+        # at b < 0 the roundoff decays with e^{bt} too: the floor stays under
+        # the exact amplitude e^-42, and Euler, decaying too slowly, still
+        # reads as about 100 % wrong
+        argv = ["pde", "--b", "-20", "--m-points", "16", "--dt", "0.01",
+                "--methods", "euler", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        (row,) = csv_rows(tmp_path / "pde_compare.csv")
+        assert float(row["max_nodal_error"]) > 0.9
 
     def test_error_scale_past_the_double_range(self, tmp_path):
         # e^{b t} = e^780 overflows: the amplitude alone is the scale, and
