@@ -50,7 +50,15 @@ class DegenerateDenominatorError(ValueError):
 
 
 def phi_nsfd(dt: float, b: float) -> float:
-    """Time denominator (exp(b*dt) - 1) / b; equals dt in the limit b -> 0."""
+    """Time denominator (exp(b*dt) - 1) / b; equals dt in the limit b -> 0.
+
+    Contract: relative error <= 4 * (1 + |b*dt|) * eps (eps = 2**-52) at
+    the doubles passed in, for b*dt <= 709, unless the result is
+    subnormal; the bound grows with |b*dt| because forming w = b*dt rounds
+    it.  Past 709 exp leaves the double range and ``OverflowError`` is
+    raised.  The test suite sweeps it against an mpmath oracle on both
+    sides of the Taylor switch at |b*dt| = 1e-6.
+    """
     if not (dt > 0.0):
         raise ValueError(f"time step must be positive, got {dt!r}")
     w = b * dt
@@ -68,6 +76,13 @@ def psi2_nsfd(dx: float, r: float) -> float:
     zero of the sine; for r < 0 the hyperbolic continuation
     (4/|r|) * sinh(sqrt(|r|)*dx/2)**2; near r = 0 the common Taylor limit
     dx**2 * (1 - r*dx**2/12 + ...).  Always strictly positive.
+
+    Contract: with u = sqrt(|r|)*dx/2, relative error
+    <= 8 * (1 + kappa) * eps (eps = 2**-52) at the doubles passed in,
+    where kappa = u*|cot u| for r > 0 (it grows near the sine zero) and
+    kappa = u for r < 0, while the result is a normal double.  The test
+    suite sweeps it against an mpmath oracle on both sides of the Taylor
+    switch at |r|*dx**2 = 1e-6.
     """
     if not (dx > 0.0):
         raise ValueError(f"space step must be positive, got {dx!r}")

@@ -28,6 +28,7 @@ from .. import __version__
 from .. import ode_schemes as ode
 from .. import pde_solvers as pde
 from .. import propagators
+from ..denominators import _EXP_OVERFLOW
 from ..specfun import ALPHA_MIN, MLParams, mittag_leffler
 from .config import ExperimentConfig, Field, config_echo
 from .report import ExperimentReport, PlotSpec
@@ -138,7 +139,20 @@ def _check_ho_exact(v: dict, bad) -> None:
                   f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
 
 
+def _check_nsfd_steps(v: dict, bad) -> None:
+    # phi_nsfd forms exp(b dt), and its OverflowError would abort the rows
+    # of every method in the run, not just nsfd's
+    if "nsfd" not in v["methods"]:
+        return
+    for dt in v["dt"]:
+        if v["b"] * dt > _EXP_OVERFLOW:
+            bad("dt", f"nsfd needs b*dt <= {_EXP_OVERFLOW:g}, the range of "
+                      f"exp; b = {v['b']!r} and dt = {dt!r} give "
+                      f"{v['b'] * dt:g}")
+
+
 def _check_pde_compare(v: dict, bad) -> None:
+    _check_nsfd_steps(v, bad)
     for dt in v["dt"]:
         if not _divides(v["t_final"], dt):
             bad("dt", f"entry {dt!r} does not divide t_final")
@@ -163,6 +177,7 @@ def _check_pde_compare(v: dict, bad) -> None:
 
 
 def _check_pde_stability(v: dict, bad) -> None:
+    _check_nsfd_steps(v, bad)
     if v["m_points"] > MAX_ARRAY_POINTS:
         _too_large(bad, "m_points")
 

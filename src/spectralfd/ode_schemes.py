@@ -18,8 +18,9 @@ The harmonic-oscillator recurrence y_{n+1} = 2*cos(omega*h)*y_n - y_{n-1}
 is the exact discrete form of y'' + omega^2 y = 0 (its denominator is the
 squared quarter-period sine measure), and conserves the discrete amplitude
 up to roundoff.  ``ho_exact_solve`` carries the two previous values as
-Python floats and writes each new one into a preallocated array.  Both
-marches are bit-equal to the scalar loops in ``tests/oracles.py``.
+Python floats and writes each new one into a preallocated array through a
+``memoryview``, so no numpy scalar is formed per step.  Both marches are
+bit-equal to the scalar loops in ``tests/oracles.py``.
 
 Neither march warns on overflow: like Python float arithmetic, an unstable
 run (forward Euler with |1 - rate*h| > 1) silently reaches inf.
@@ -141,10 +142,11 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
     roundoff accumulation.  Requires omega*h/2 < pi (first zero of the
     quarter-period sine measure).
 
-    The two previous values are carried as Python floats, so no numpy
-    scalar is formed per step; each new value is written into a
-    preallocated array.  Overflow gives inf or nan without a warning, as
-    Python float arithmetic does.
+    The two previous values are carried as Python floats, and each new
+    value is written into a preallocated array through a ``memoryview``,
+    which stores the same double without forming a numpy scalar per step.
+    Overflow gives inf or nan without a warning, as Python float
+    arithmetic does.
     """
     if not (omega > 0.0):
         raise ValueError(f"frequency must be positive, got {omega!r}")
@@ -161,9 +163,10 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
     states[0] = y0
     states[1] = y1
     prev, cur = states[:2].tolist()
+    view = memoryview(states)
     for n in range(2, n_steps + 1):
         prev, cur = cur, c * cur - prev
-        states[n] = cur
+        view[n] = cur
     return Trajectory(step=h, states=states)
 
 

@@ -368,6 +368,9 @@ def default_spectral_params(problem: PDEProblem, grid: Grid1D) -> tuple[float, f
 
     k is the dominant wavenumber of the initial data's transform; s is
     b + a*(pi/L)**2, the first regular Laplace mode above the reaction rate.
+
+    This s is not the exact pair of k: only s = b - a*k**2 makes the
+    symbol exp((b - a*k**2)*dt) for every dt, and then on the mode k alone.
     """
     problem.check_grid(grid)
     j = int(np.argmax(np.abs(np.fft.rfft(problem.initial_condition))))

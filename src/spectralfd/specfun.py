@@ -14,7 +14,11 @@ and node count from Garrappa's rules for a target accuracy eps
 origin singularity as a simple pole.  For z > 0 the pole
 s* = z**(1/alpha) adds its residue exp(s*)/alpha when it lies right of the
 parabola.  For z < 0 no pole does, so every negative argument is summed on
-one node set that depends on eps alone.
+one node set that depends on eps alone.  The node factors
+e**s s**(alpha-1), s**alpha and ds/du do not depend on z: they are kept,
+read-only, for the few most recent (alpha, rule) pairs, and a call on a
+kept pair does only the division by s**alpha - z and the sum, in the same
+operation order, so its bits are those of a fresh evaluation.
 
 The contour error is absolute, about eps = max(tol/1000, 1e-15): the
 contract stated on ``mittag_leffler`` floors |E| at 1e-2, and a factor 10
@@ -26,6 +30,7 @@ exp(z**(1/alpha)) does this at alpha = 0.3 from z = 8 on).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -75,6 +80,10 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 # phi(s) = (Re s + |s|)/2 is the mu of the parabola through s; poles with
 # phi(s*) below this sit on the contour's left whatever mu is.
 _PHI_NEGLIGIBLE = 1e-15
+# Rules and node factors are kept for the few most recent orders: a run
+# steps or sweeps one order at a time, so a small cache catches the repeats
+# and stays bounded however many orders a long run draws.
+_CACHED_RULES = 8
 
 
 def _bounded_rule(phi_pole: float, log_eps: float):
@@ -98,6 +107,7 @@ def _bounded_rule(phi_pole: float, log_eps: float):
     return mu, h, math.ceil(math.sqrt(1.0 - log_eps / mu) / h)
 
 
+@functools.lru_cache(maxsize=_CACHED_RULES)
 def _unbounded_rule(phi: float, log_eps: float):
     """Garrappa's RU rule: (mu, h, N) for a parabola to the right of the
     simple pole at phi, or None when round-off bars it (only for phi > 0)."""
@@ -130,6 +140,22 @@ def _unbounded_rule(phi: float, log_eps: float):
     return mu, h, n
 
 
+@functools.lru_cache(maxsize=_CACHED_RULES)
+def _nodes(alpha: float, mu: float, h: float, n: int):
+    """The z-free factors of the contour sum at nodes u = 0, h, ..., n h on
+    s(u) = mu (1 + iu)**2: e**s s**(alpha-1), s**alpha and i - u, the last
+    from ds/du = 2 mu (i - u) less its constant.  Read-only, since they are
+    shared by every call on the same rule."""
+    u = h * np.arange(n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    log_s = np.log(s)
+    factors = (np.exp(s + (alpha - 1.0) * log_s), np.exp(alpha * log_s),
+               1j - u)
+    for a in factors:
+        a.flags.writeable = False
+    return factors
+
+
 def _overflow(alpha: float, z: float) -> OverflowError:
     return OverflowError(f"E_{{{alpha:g}}}({z:g}) exceeds the double range")
 
@@ -155,11 +181,8 @@ def _contour(alpha: float, z: float, eps: float) -> float:
 
     # The integrand at -u is minus the conjugate of that at u, so the sum
     # over nodes -N..N is i*Im of twice the sum over 0..N less node 0.
-    u = h * np.arange(n + 1)
-    s = mu * (1.0 + 1j * u) ** 2
-    log_s = np.log(s)
-    g = (np.exp(s + (alpha - 1.0) * log_s)
-         / (np.exp(alpha * log_s) - z) * (1j - u)).imag
+    numer, power, weight = _nodes(alpha, mu, h, n)
+    g = (numer / (power - z) * weight).imag
     value = (2.0 * g.sum() - g[0]) * h * mu / math.pi
     if pole_right:
         ln_res = x - math.log(alpha)

@@ -1,8 +1,8 @@
 """Independent oracles shared by the test suite.
 
 Everything here is deliberately built from primitives unrelated to the
-implementation paths it checks: libm special functions, mpmath series in
-extended precision, dense matrix application, a naive O(M^2) discrete
+implementation paths it checks: libm special functions, mpmath series and
+closed forms in extended precision, dense matrix application, a naive O(M^2) discrete
 Fourier transform, per-mode Fourier symbols and sine-mode closed forms,
 bisection, and the plain one-step-at-a-time loops of the ODE marches.
 """
@@ -178,6 +178,29 @@ def conformable_step_oracle(rate: float, order: float, t_n: float,
     with mpmath.workdps(60):
         dz = mpmath.mpf(t_np1) ** order - mpmath.mpf(t_n) ** order
         return float(-mpmath.expm1(-rate * dz) / rate)
+
+
+def phi_nsfd_oracle(dt: float, b: float) -> float:
+    """The time denominator (exp(b dt) - 1)/b, dt at b = 0, in 40-digit
+    mpmath at the exact doubles passed in, rounded to double."""
+    if b == 0.0:
+        return dt
+    with mpmath.workdps(40):
+        bm = mpmath.mpf(b)
+        return float(mpmath.expm1(bm * mpmath.mpf(dt)) / bm)
+
+
+def psi2_nsfd_oracle(dx: float, r: float) -> float:
+    """The squared space denominator (4/r) sin(sqrt(r) dx/2)**2, its sinh
+    continuation for r < 0 and dx**2 at r = 0, in 40-digit mpmath at the
+    exact doubles passed in, rounded to double."""
+    if r == 0.0:
+        return dx * dx
+    with mpmath.workdps(40):
+        rm, half = mpmath.mpf(r), mpmath.mpf(dx) / 2
+        if r > 0.0:
+            return float(4 * mpmath.sin(mpmath.sqrt(rm) * half) ** 2 / rm)
+        return float(4 * mpmath.sinh(mpmath.sqrt(-rm) * half) ** 2 / -rm)
 
 
 def decay_scalar_states(scheme, x0: float, n_steps: int) -> np.ndarray:

@@ -14,7 +14,11 @@ from spectralfd.denominators import (
 )
 from spectralfd.propagators import local_propagator, nonlocal_propagator
 
-from oracles import conformable_step_oracle
+from oracles import conformable_step_oracle, phi_nsfd_oracle, psi2_nsfd_oracle
+
+EPS = 2.0**-52
+# the argument |w| below which phi_nsfd and psi2_nsfd switch to Taylor
+SERIES_SWITCH = 1e-6
 
 
 class TestPhiNsfd:
@@ -46,6 +50,25 @@ class TestPhiNsfd:
         for dt in (0.05, 0.3, 1.0):
             for b in (1e-7, -1e-7):
                 assert abs(phi_nsfd(dt, b) - dt) <= 1e-6 * dt
+
+    def test_contract_sweep(self):
+        # |w| = |b dt| from 1e-12 to 709, both sides of the Taylor switch,
+        # and the two doubles at the switch itself
+        rng = np.random.default_rng(41)
+        cases = [(1.0, SERIES_SWITCH), (1.0, math.nextafter(SERIES_SWITCH, 0)),
+                 (1.0, -SERIES_SWITCH), (1.0, 709.0), (1.0, -709.0)]
+        for log_w in np.concatenate([rng.uniform(-12, -6, 600),
+                                     rng.uniform(-6, math.log10(709), 600)]):
+            dt = 10.0 ** rng.uniform(-8, 2)
+            cases.append((dt, rng.choice([-1.0, 1.0]) * 10.0**log_w / dt))
+        branches = set()
+        for dt, b in cases:
+            w = abs(b * dt)
+            branches.add(w < SERIES_SWITCH)
+            ref = phi_nsfd_oracle(dt, b)
+            bound = 4.0 * (1.0 + w) * EPS * abs(ref)
+            assert abs(phi_nsfd(dt, b) - ref) <= bound, (dt, b)
+        assert branches == {True, False}
 
 
 class TestPsi2Nsfd:
@@ -82,6 +105,32 @@ class TestPsi2Nsfd:
         above = psi2_nsfd(dx, 1e-9)
         assert below == pytest.approx(above, rel=1e-9)
         assert below == pytest.approx(dx * dx, rel=1e-9)
+
+    def test_contract_sweep(self):
+        # u = sqrt(|r|) dx/2 from 1e-9 to the sine zero (r > 0) or to 300
+        # (r < 0), both sides of the Taylor switch at |r| dx**2 = 4 u**2
+        # = 1e-6, and the doubles at the switch itself
+        rng = np.random.default_rng(42)
+        u_switch = math.sqrt(SERIES_SWITCH) / 2.0
+        cases = [(1.0, sign * w) for sign in (1.0, -1.0)
+                 for w in (SERIES_SWITCH, math.nextafter(SERIES_SWITCH, 0))]
+        for sign, high in ((1.0, math.pi * (1.0 - 1e-9)), (-1.0, 300.0)):
+            for u in np.concatenate([
+                    10.0 ** rng.uniform(-9, math.log10(u_switch), 300),
+                    10.0 ** rng.uniform(math.log10(u_switch),
+                                        math.log10(high), 300),
+                    high - 10.0 ** rng.uniform(-9, -1, 100)]):
+                dx = 10.0 ** rng.uniform(-6, 1)
+                cases.append((dx, sign * (2.0 * u / dx) ** 2))
+        branches = set()
+        for dx, r in cases:
+            branches.add(abs(r * dx * dx) < SERIES_SWITCH)
+            u = math.sqrt(abs(r)) * dx / 2.0
+            kappa = u / abs(math.tan(u)) if r > 0.0 else u
+            ref = psi2_nsfd_oracle(dx, r)
+            bound = 8.0 * (1.0 + kappa) * EPS * ref
+            assert abs(psi2_nsfd(dx, r) - ref) <= bound, (dx, r)
+        assert branches == {True, False}
 
 
 class TestSpectralDenominators:

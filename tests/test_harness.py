@@ -14,6 +14,7 @@ import pytest
 
 import spectralfd
 from spectralfd import ode_schemes
+from spectralfd.denominators import _EXP_OVERFLOW
 from spectralfd.harness import (
     ConfigError,
     ExperimentReport,
@@ -741,6 +742,45 @@ class TestCli:
         euler, modal = csv_rows(tmp_path / "pde_compare.csv")
         assert (euler["max_nodal_error"], euler["diverged"]) == ("1", "false")
         assert (modal["max_nodal_error"], modal["diverged"]) == ("nan", "true")
+
+    # b dt on both sides of phi_nsfd's threshold, with a = 1 and
+    # ic_mode = 10 (compare) or dx = 0.1 (stability), so psi2 and the exact
+    # amplitude stay in range
+    _NSFD_EDGE = [("pde_compare", {"ic_mode": "10", "t_final": "1"}),
+                  ("pde_stability", {"dx": "0.1"})]
+
+    @pytest.mark.parametrize("name, extra", _NSFD_EDGE)
+    def test_nsfd_step_at_the_range_of_exp_runs(self, name, extra):
+        config = build_config(name, {"a": "1", "b": repr(_EXP_OVERFLOW),
+                                     "dt": "1", "methods": "nsfd", **extra})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_experiment(config).rows
+
+    @pytest.mark.parametrize("name, extra", _NSFD_EDGE)
+    def test_nsfd_step_past_the_range_of_exp_is_a_config_error(self, name,
+                                                              extra):
+        # phi_nsfd's OverflowError used to abort every method's rows with
+        # exit 3; only nsfd forms exp(b dt)
+        b = repr(math.nextafter(_EXP_OVERFLOW, math.inf))
+        raw = {"a": "1", "b": b, "dt": "1", **extra}
+        build_config(name, {**raw, "methods": "euler,spectral_modal"})
+        for methods in ("nsfd", "euler,spectral_modal,nsfd"):
+            with pytest.raises(ConfigError) as err:
+                build_config(name, {**raw, "methods": methods})
+            assert str(err.value) == (f"dt: nsfd needs b*dt <= 709, the "
+                                      f"range of exp; b = {b} and dt = 1.0 "
+                                      f"give 709")
+
+    def test_nsfd_overflowing_run_is_rejected_whole(self, tmp_path, capsys):
+        argv = ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10",
+                "--t-final", "0.78", "--dt", "0.78,0.39", "--methods",
+                "spectral_modal,euler,nsfd", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "b = 1000.0 and dt = 0.78 give 780" in err
+        assert "dt = 0.39" not in err  # b dt = 390 is in range
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["ho", "--y0", "1e155", "--n-steps", "1000"],

@@ -227,6 +227,14 @@ class TestMarchesMatchScalarLoops:
                 traj = silent(ho_exact_solve, omega, h, n_steps, y0, y1)
                 assert traj.states.tobytes() == expected.tobytes()
 
+    def test_ho_exact_solve_through_overflow(self):
+        # the memoryview stores inf, and the nan that inf - inf gives next,
+        # as the indexed loop does, for the whole 10**5 steps
+        expected = ho_indexed_states(1.0, 0.7, 10**5, 1e308, -1e308)
+        assert np.isinf(expected[2]) and np.isnan(expected[-1])
+        traj = silent(ho_exact_solve, 1.0, 0.7, 10**5, 1e308, -1e308)
+        assert traj.states.tobytes() == expected.tobytes()
+
 
 class TestOrderEstimate:
     def test_first_order_schemes(self):

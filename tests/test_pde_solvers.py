@@ -421,6 +421,69 @@ class TestFourierSymbolOracle:
         assert_frames_close(traj.frames, expected[:2822], rtol=1e-12)
 
 
+class TestMatchedSpectralPair:
+    """With s = b - a k**2 the spectral pair is exact on mode k: psi2 is
+    4 sin(k dx/2)**2 / k**2, the discrete Laplacian's eigenvalue over k**2,
+    so the symbol 1 + phi (b - a k**2) is exp((b - a k**2) dt) for every dt.
+    Any other s, the default one included, is exact only where it meets
+    that eigenvalue."""
+
+    @staticmethod
+    def matched(dt, a, b, k):
+        return SpectralPhys(dt=dt, k=k, s=b - a * k * k)
+
+    @pytest.mark.parametrize("m", [3, 8, 33, 64])
+    @pytest.mark.parametrize("length", [1.0, 2.0 * math.pi])
+    def test_symbol_is_the_exact_growth(self, m, length):
+        # the symbol sums c0 and 2 c1 cos(k dx), which cancel for large
+        # dt / dx**2: its error is measured against |c0| + 2 |c1|
+        grid = periodic_grid(m=m, length=length)
+        ks = np.abs(grid_wavenumbers(grid))[: m // 2 + 1].tolist()
+        for a in (0.0, 0.1, 1.0, 3.0):
+            for b in (-2.0, 0.0, 0.7, 2.0):
+                problem = PDEProblem(a=a, b=b, initial_condition=np.zeros(m))
+                for dt in (1e-6, 1e-3, 0.05, 0.5, 2.0):
+                    for k in ks:
+                        kind = self.matched(dt, a, b, k)
+                        g = amplification_factor(kind, problem, grid, k)
+                        phi = phi_spectral(dt, a, b, k)
+                        c1 = (phi * a / psi2_spectral(grid.dx, a, b, kind.s)
+                              if a > 0.0 else 0.0)
+                        terms = abs(1.0 + phi * b - 2.0 * c1) + 2.0 * abs(c1)
+                        exact = math.exp((b - a * k * k) * dt)
+                        assert abs(g - exact) <= 1e-13 * terms, (a, b, dt, k)
+
+    @pytest.mark.parametrize("m", [3, 8, 33, 64])
+    def test_single_mode_march_matches_fourier_oracle(self, m):
+        # the march's roundoff grows with the largest symbol, so a frame
+        # whose mode has decayed below it is measured against that growth
+        grid = periodic_grid(m=m)
+        sin2 = np.sin(np.pi * np.arange(m) / m) ** 2
+        n_steps = 50
+        for j in sorted({0, 1, m // 4, m // 2}):
+            k = 2.0 * math.pi * j / grid.length
+            u0 = np.cos(k * grid.points)
+            for a in (0.1, 1.0, 3.0):
+                for b in (-2.0, 0.0, 0.7):
+                    problem = PDEProblem(a=a, b=b, initial_condition=u0)
+                    for c in (0.05, 0.45, 2.0):
+                        kind = self.matched(c * grid.dx**2 / a, a, b, k)
+                        phi = phi_spectral(kind.dt, a, b, k)
+                        psi2 = psi2_spectral(grid.dx, a, b, kind.s)
+                        traj = evolve(problem, grid, kind, n_steps)
+                        kept = len(traj.frames)
+                        expected = fourier_symbol_frames(
+                            u0, a, b, phi, psi2, n_steps)[:kept]
+                        growth = np.max(np.abs(
+                            1.0 + phi * (b - 4.0 * a * sin2 / psi2)))
+                        with np.errstate(over="ignore"):
+                            scale = np.maximum(
+                                np.max(np.abs(expected), axis=1),
+                                growth ** np.arange(kept))
+                        error = np.max(np.abs(traj.frames - expected), axis=1)
+                        assert np.all(error <= 1e-13 * scale), (j, a, b, c)
+
+
 class TestEvolveIsRepeatedStep:
     """evolve and step share one kernel: no second stepping path."""
 

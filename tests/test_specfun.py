@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spectralfd import specfun
 from spectralfd.specfun import MLParams, mittag_leffler
 
 from oracles import ml_half_oracle, ml_oracle
@@ -144,3 +145,64 @@ class TestMittagLeffler:
         for alpha in (0.01, 0.3, 0.7):
             got = mittag_leffler(MLParams(alpha=alpha), z)
             assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def cached_functions():
+    return (specfun._nodes, specfun._unbounded_rule)
+
+
+def clear_caches():
+    for cached in cached_functions():
+        cached.cache_clear()
+
+
+class TestNodeReuse:
+    """The z-free contour factors are kept per (order, rule): a value read
+    from kept factors has the bits of one computed afresh."""
+
+    def test_cold_warm_and_interleaved_bits_agree(self):
+        rng = np.random.default_rng(19)
+        alphas = [0.01, 0.5, 0.75] + rng.uniform(0.01, 1.0, 20).tolist()
+        negative = [-50.0, -1e-300] + rng.uniform(-50.0, 0.0, 10).tolist()
+        # E_0.01(z) overflows from z = 1.08 on
+        positive = [1e-300, 0.5] + rng.uniform(0.0, 1.0, 4).tolist()
+        cold, warm, interleaved = {}, {}, {}
+        for alpha in alphas:
+            for tol in (1e-12, 1e-6, 0.5):
+                params = MLParams(alpha, tol)
+                for z in negative + positive:
+                    clear_caches()
+                    cold[alpha, tol, z] = mittag_leffler(params, z).hex()
+                for z in negative + positive:
+                    mittag_leffler(params, z)
+                    warm[alpha, tol, z] = mittag_leffler(params, z).hex()
+                # each positive z, on its own rule, falls between two
+                # negative ones, and another order evaluates on the same
+                # rules in between
+                other = MLParams(1.01 - alpha, tol)
+                for z_neg, z_pos in zip(negative, positive * 2):
+                    for z in (z_neg, z_pos):
+                        interleaved[alpha, tol, z] = \
+                            mittag_leffler(params, z).hex()
+                        mittag_leffler(other, z)
+        assert len(cold) > 1000
+        assert warm == cold
+        assert interleaved == cold
+
+    def test_cache_stays_bounded(self):
+        clear_caches()
+        for alpha in np.linspace(0.02, 0.98, 100):
+            params = MLParams(float(alpha))
+            mittag_leffler(params, -1.0)
+            mittag_leffler(params, 0.5)
+        for cached in cached_functions():
+            info = cached.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+
+    def test_kept_factors_are_read_only(self):
+        mu, h, n = specfun._unbounded_rule(0.0, math.log(1e-15))
+        for factor in specfun._nodes(0.5, mu, h, n):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0] = 0.0
