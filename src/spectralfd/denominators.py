@@ -82,7 +82,8 @@ def psi2_nsfd(dx: float, r: float) -> float:
     where kappa = u*|cot u| for r > 0 (it grows near the sine zero) and
     kappa = u for r < 0, while the result is a normal double.  The test
     suite sweeps it against an mpmath oracle on both sides of the Taylor
-    switch at |r|*dx**2 = 1e-6.
+    switch at |r|*dx**2 = 1e-6.  For r < 0 with u past the range of sinh
+    (about 710.5), ``OverflowError`` is raised, naming sinh and u.
     """
     if not (dx > 0.0):
         raise ValueError(f"space step must be positive, got {dx!r}")
@@ -98,7 +99,10 @@ def psi2_nsfd(dx: float, r: float) -> float:
         s = math.sin(u)
         return 4.0 * s * s / r
     u = math.sqrt(-r) * dx / 2.0
-    s = math.sinh(u)
+    try:
+        s = math.sinh(u)
+    except OverflowError:
+        raise OverflowError(f"sinh({u:g}) exceeds the double range") from None
     return 4.0 * s * s / (-r)
 
 

@@ -62,12 +62,6 @@ class ExperimentConfig:
     experiment: str  # the experiment's name
     params: tuple  # sorted (key, value) pairs; lists stored as tuples
 
-    def get(self, key: str):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def as_dict(self) -> dict:
         return dict(self.params)
 
@@ -159,16 +153,15 @@ def _validate(name: str, raw: dict[str, str],
             continue
         if f.required:
             bad(f.name, "required key is missing")
-        else:
+        elif f.default is not None:  # a None default leaves the key out
             values[f.name] = f.default
 
     if not violations:
         experiment.check(values, bad)
     if violations:
         raise ConfigError(violations)
-    dropped_defaults = {k: v for k, v in values.items() if v is not None}
     return ExperimentConfig(experiment=name,
-                            params=tuple(sorted(dropped_defaults.items())))
+                            params=tuple(sorted(values.items())))
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -17,6 +17,7 @@ non-finite values, or by a relative error above 1 or nan).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -29,11 +30,12 @@ from .. import ode_schemes as ode
 from .. import pde_solvers as pde
 from .. import propagators
 from ..denominators import _EXP_OVERFLOW
+from ..propagators import MIN_FIT_SAMPLES
 from ..specfun import ALPHA_MIN, MLParams, mittag_leffler
 from .config import ExperimentConfig, Field, config_echo
 from .report import ExperimentReport, PlotSpec
 
-__all__ = ["run_experiment", "DIVERGENCE_THRESHOLD"]
+__all__ = ["run_experiment"]
 
 # A relative nodal error beyond this marks the run as diverged even if the
 # values are still finite (coarse blow-up detection for short runs).
@@ -53,9 +55,14 @@ MAX_OSCILLATOR_AMPLITUDE = math.sqrt(sys.float_info.max) / 2
 # half a second of evaluations.
 MAX_SIGNATURE_SAMPLES = 10_000
 
-_SCHEME_BY_NAME = {f.value: f for f in ode.SchemeFamily}
-_PDE_METHODS = ("euler", "nsfd", "spectral_modal", "spectral_phys")
-_PROPAGATORS = ("local_exp", "nonlocal_ml")
+_SCHEMES = tuple(f.value for f in ode.SchemeFamily)
+# each pde method's solver kind; SpectralPhys also takes a (k, s)
+_PDE_METHODS = {"euler": pde.EulerStd, "nsfd": pde.Nsfd,
+                "spectral_modal": pde.SpectralModal,
+                "spectral_phys": pde.SpectralPhys}
+# signature_demo's propagators, by the name each has in ``propagators``
+_PROPAGATORS = {"local_exp": "local_propagator",
+                "nonlocal_ml": "nonlocal_propagator"}
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -151,6 +158,25 @@ def _check_nsfd_steps(v: dict, bad) -> None:
                       f"{v['b'] * dt:g}")
 
 
+def _check_spectral_steps(v: dict, bad, setup) -> None:
+    # as _check_nsfd_steps, for spectral_phys's exp((b - a k^2) dt) with the
+    # k its run resolves; data that setup rejects aborts the run as before.
+    # (b - a k^2) dt <= b dt, so the k is needed only when b dt passes 709
+    if ("spectral_phys" not in v["methods"]
+            or v["b"] * max(v["dt"]) <= _EXP_OVERFLOW):
+        return
+    try:
+        k = _spectral_mode(v, *setup(v))[0]
+    except (ValueError, OverflowError):
+        return
+    rate = v["b"] - v["a"] * k * k
+    for dt in v["dt"]:
+        if rate * dt > _EXP_OVERFLOW:
+            bad("dt", f"spectral_phys needs (b - a k^2)*dt <= "
+                      f"{_EXP_OVERFLOW:g}, the range of exp; k = {k!r} and "
+                      f"dt = {dt!r} give {rate * dt:g}")
+
+
 def _check_pde_compare(v: dict, bad) -> None:
     _check_nsfd_steps(v, bad)
     for dt in v["dt"]:
@@ -160,6 +186,8 @@ def _check_pde_compare(v: dict, bad) -> None:
     frames = v["t_final"] / min(v["dt"]) + 1.0
     if v["m_points"] > MAX_ARRAY_POINTS / frames:
         _too_large(bad, "dt")
+    else:
+        _check_spectral_steps(v, bad, _compare_problem)
     # sin(2 pi ic_mode x_m / domain_length) samples sin(pi * integer)
     # when 2 ic_mode is a multiple of m_points: roundoff, not a mode
     if v["ic_mode"] > 0 and 2 * v["ic_mode"] % v["m_points"] == 0:
@@ -180,6 +208,8 @@ def _check_pde_stability(v: dict, bad) -> None:
     _check_nsfd_steps(v, bad)
     if v["m_points"] > MAX_ARRAY_POINTS:
         _too_large(bad, "m_points")
+    else:
+        _check_spectral_steps(v, bad, _stability_problem)
 
 
 def _check_signature_demo(v: dict, bad) -> None:
@@ -202,9 +232,9 @@ def _check_laplace_bvp(v: dict, bad) -> None:
 def _run_decay_order(p: dict) -> list:
     rows = []
     for name in p["schemes"]:
-        family = _SCHEME_BY_NAME[name]
-        for sample in ode.order_estimate(family, p["lambda"], p["x0"],
-                                         p["t_final"], p["h0"], p["levels"]):
+        for sample in ode.order_estimate(ode.SchemeFamily(name), p["lambda"],
+                                         p["x0"], p["t_final"], p["h0"],
+                                         p["levels"]):
             rows.append((name, sample.h, sample.error, sample.observed_p,
                          sample.exact))
     return rows
@@ -233,34 +263,51 @@ def _run_ho_exact(p: dict) -> list:
     return rows
 
 
-def _solver_kind(name: str, dt: float, problem, grid, p: dict):
-    if name == "euler":
-        return pde.EulerStd(dt=dt)
-    if name == "nsfd":
-        return pde.Nsfd(dt=dt)
-    if name == "spectral_modal":
-        return pde.SpectralModal(dt=dt)
-    k_default, s_default = pde.default_spectral_params(problem, grid)
-    k = p.get("k_mode", k_default)
-    s = p.get("s_mode", s_default)
-    return pde.SpectralPhys(dt=dt, k=k, s=s)
-
-
-def _run_pde_compare(p: dict) -> list:
+def _compare_problem(p: dict) -> tuple:
+    # initial data sin(2 pi ic_mode x / domain_length), or ones for mode 0
     m, length = p["m_points"], p["domain_length"]
     grid = pde.Grid1D(x0=0.0, dx=length / m, m_points=m,
                       boundary=pde.Periodic())
     k_phys = 2.0 * math.pi * p["ic_mode"] / length
     ic = np.sin(k_phys * grid.points) if p["ic_mode"] > 0 else np.ones(m)
-    problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic)
+    return pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic), grid
+
+
+def _stability_problem(p: dict) -> tuple:
+    m = p["m_points"]
+    grid = pde.Grid1D(x0=0.0, dx=p["dx"], m_points=m, boundary=pde.Periodic())
+    return pde.PDEProblem(a=p["a"], b=p["b"],
+                          initial_condition=np.zeros(m)), grid
+
+
+def _spectral_mode(p: dict, problem, grid) -> tuple[float, float]:
+    """spectral_phys's (k, s): k_mode and s_mode where given, otherwise
+    ``default_spectral_params``'s."""
+    k, s = pde.default_spectral_params(problem, grid)
+    return p.get("k_mode", k), p.get("s_mode", s)
+
+
+def _solver_kind(name: str, problem, grid, p: dict) -> Callable:
+    """The solver kind of the method called ``name``, as a function of dt;
+    spectral_phys's (k, s) is resolved here, once per run."""
+    if name != "spectral_phys":
+        return _PDE_METHODS[name]
+    k, s = _spectral_mode(p, problem, grid)
+    return functools.partial(pde.SpectralPhys, k=k, s=s)
+
+
+def _run_pde_compare(p: dict) -> list:
+    problem, grid = _compare_problem(p)
+    m, ic = grid.m_points, problem.initial_condition
+    k_phys = 2.0 * math.pi * p["ic_mode"] / p["domain_length"]
     growth = problem.b - problem.a * k_phys**2
     u0_max = float(np.max(np.abs(ic)))
     rows = []
     for method in p["methods"]:
+        kind_of = _solver_kind(method, problem, grid, p)
         for dt in p["dt"]:
             n_steps = round(p["t_final"] / dt)
-            kind = _solver_kind(method, dt, problem, grid, p)
-            traj = pde.evolve(problem, grid, kind, n_steps)
+            traj = pde.evolve(problem, grid, kind_of(dt), n_steps)
             t_end = float(traj.times[-1])
             exact = math.exp(growth * t_end) * ic
             # no mode, the initial data's roundoff included, grows faster
@@ -280,16 +327,13 @@ def _run_pde_compare(p: dict) -> list:
 
 
 def _run_pde_stability(p: dict) -> list:
-    m = p["m_points"]
-    grid = pde.Grid1D(x0=0.0, dx=p["dx"], m_points=m, boundary=pde.Periodic())
-    problem = pde.PDEProblem(a=p["a"], b=p["b"],
-                             initial_condition=np.zeros(m))
+    problem, grid = _stability_problem(p)
     wavenumbers = sorted({float(k) for k in np.abs(pde.grid_wavenumbers(grid))})
     rows = []
     for method in p["methods"]:
+        kind_of = _solver_kind(method, problem, grid, p)
         for dt in p["dt"]:
-            kind = _solver_kind(method, dt, problem, grid, p)
-            g = pde.amplification_factor(kind, problem, grid,
+            g = pde.amplification_factor(kind_of(dt), problem, grid,
                                          np.array(wavenumbers))
             stable = np.abs(g) <= 1.0 + 1e-12
             # tolist() gives the report Python floats and bools
@@ -299,31 +343,23 @@ def _run_pde_stability(p: dict) -> list:
 
 
 def _run_ml_identities(p: dict) -> list:
-    tol = p["tol"]
+    # (alpha, z, oracle): E_1(z) = e^z, E_1/2(-t) = e^{t^2} erfc(t), E(0) = 1
+    cases = ([(1.0, float(z), math.exp(z)) for z in range(-10, 6)]
+             + [(0.5, -t, math.exp(t * t) * math.erfc(t))
+                for t in (0.5, 1.0, 2.0, 3.0)]
+             + [(alpha, 0.0, 1.0) for alpha in p["alphas"]])
     rows = []
-    for z in range(-10, 6):
-        value = mittag_leffler(MLParams(alpha=1.0, tol=tol), float(z))
-        oracle = math.exp(z)
-        rows.append((1.0, float(z), value, oracle, abs(value - oracle)))
-    for t in (0.5, 1.0, 2.0, 3.0):
-        value = mittag_leffler(MLParams(alpha=0.5, tol=tol), -t)
-        oracle = math.exp(t * t) * math.erfc(t)
-        rows.append((0.5, -t, value, oracle, abs(value - oracle)))
-    for alpha in p["alphas"]:
-        value = mittag_leffler(MLParams(alpha=alpha, tol=tol), 0.0)
-        rows.append((alpha, 0.0, value, 1.0, abs(value - 1.0)))
+    for alpha, z, oracle in cases:
+        value = mittag_leffler(MLParams(alpha=alpha, tol=p["tol"]), z)
+        rows.append((alpha, z, value, oracle, abs(value - oracle)))
     return rows
 
 
 def _run_signature_demo(p: dict) -> list:
     times = propagators.origin_window(p["n_samples"], p["t_min"], p["t_max"])
     alpha, rate = p["alpha"], p["lambda"]
-    if p["propagator"] == "local_exp":
-        wave = [1.0 - propagators.local_propagator(rate, alpha, float(t))
-                for t in times]
-    else:
-        wave = [1.0 - propagators.nonlocal_propagator(rate, alpha, float(t))
-                for t in times]
+    propagate = getattr(propagators, _PROPAGATORS[p["propagator"]])
+    wave = [1.0 - propagate(rate, alpha, float(t)) for t in times]
     signature = propagators.signature_fit(zip(times.tolist(), wave))
     return [(alpha, signature.alpha_hat, signature.c_hat,
              signature.fit_residual)]
@@ -374,8 +410,7 @@ _PDE_HELP = "diffusion-reaction comparison/stability"
 _PDE_SOLVER_FIELDS = (
     Field("methods", "str_list", default=("euler", "nsfd", "spectral_modal"),
           check=_in_names(_PDE_METHODS)),
-    Field("k_mode", "float", default=None),
-    Field("s_mode", "float", default=None))
+    Field("k_mode", "float"), Field("s_mode", "float"))
 
 _EXPERIMENTS: dict[str, _Experiment] = {
     "decay_order": _Experiment(
@@ -385,8 +420,8 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 Field("h0", "float", required=True, check=_positive),
                 Field("levels", "int", required=True, check=_at_least(4)),
                 Field("x0", "float", default=1.0),
-                Field("schemes", "str_list", default=tuple(_SCHEME_BY_NAME),
-                      check=_in_names(tuple(_SCHEME_BY_NAME)))),
+                Field("schemes", "str_list", default=_SCHEMES,
+                      check=_in_names(_SCHEMES))),
         columns=("scheme", "h", "error", "observed_p", "exact_flag"),
         plot=PlotSpec(x="h", y="error", logx=True, logy=True,
                       group_by=("scheme",)),
@@ -463,8 +498,10 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                       else "must lie in (0, 1]"),
                 Field("lambda", "float", default=1.0, check=_positive),
                 Field("n_samples", "int", default=24,
-                      check=lambda v: None if 8 <= v <= MAX_SIGNATURE_SAMPLES
-                      else f"must lie in [8, {MAX_SIGNATURE_SAMPLES}]"),
+                      check=lambda v: None
+                      if MIN_FIT_SAMPLES <= v <= MAX_SIGNATURE_SAMPLES
+                      else f"must lie in [{MIN_FIT_SAMPLES}, "
+                           f"{MAX_SIGNATURE_SAMPLES}]"),
                 Field("t_min", "float", default=1e-4, check=_positive),
                 Field("t_max", "float", default=1e-2, check=_positive),
                 Field("propagator", "str", default="nonlocal_ml",

@@ -107,11 +107,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def _usable(value, log: bool) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    if not math.isfinite(value):
-        return False
-    return value > 0.0 if log else True
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > 0.0 or not log))
 
 
 def _series(report: ExperimentReport, spec: PlotSpec) -> list:
@@ -168,6 +165,18 @@ def _ticks(lo: float, hi: float, log: bool) -> list[float]:
     return out
 
 
+def _line(x1, y1, x2, y2, stroke: str = 'stroke="black"') -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {stroke}/>'
+
+
+def _text(x, y, size: int, body: str, anchor: str = "middle",
+          transform: str = "") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{body}</text>')
+
+
 def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
     """Write a polyline plot of the named columns."""
     series = _series(report, spec)
@@ -181,71 +190,40 @@ def emit_svg(report: ExperimentReport, spec: PlotSpec, path) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        _text(f"{_SVG_W / 2:.1f}", 24, 16, report.experiment),
+        # axes
+        _line(_MARGIN_L, x_axis_y, _SVG_W - _MARGIN_R, x_axis_y),
+        _line(_MARGIN_L, _MARGIN_T, _MARGIN_L, x_axis_y),
     ]
-    parts.append(
-        f'<text x="{_SVG_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{report.experiment}</text>'
-    )
-    # axes
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{x_axis_y}" x2="{_SVG_W - _MARGIN_R}" '
-        f'y2="{x_axis_y}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
-        f'y2="{x_axis_y}" stroke="black"/>'
-    )
     for t in _ticks(x_lo, x_hi, spec.logx):
-        px = x_px(t)
-        parts.append(
-            f'<line x1="{px:.1f}" y1="{x_axis_y}" x2="{px:.1f}" '
-            f'y2="{x_axis_y + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{x_axis_y + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{t:.4g}</text>'
-        )
+        px = f"{x_px(t):.1f}"
+        parts += [_line(px, x_axis_y, px, x_axis_y + 5),
+                  _text(px, x_axis_y + 18, 11, f"{t:.4g}")]
     for t in _ticks(y_lo, y_hi, spec.logy):
         py = y_px(t)
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" '
-            f'y2="{py:.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{t:.4g}</text>'
-        )
+        parts += [_line(_MARGIN_L - 5, f"{py:.1f}", _MARGIN_L, f"{py:.1f}"),
+                  _text(_MARGIN_L - 8, f"{py + 4:.1f}", 11, f"{t:.4g}",
+                        "end")]
     # axis labels
-    parts.append(
-        f'<text x="{(_MARGIN_L + _SVG_W - _MARGIN_R) / 2:.1f}" '
-        f'y="{_SVG_H - 12}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13">{spec.x}{" (log)" if spec.logx else ""}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(_MARGIN_T + x_axis_y) / 2:.1f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {(_MARGIN_T + x_axis_y) / 2:.1f})">'
-        f'{spec.y}{" (log)" if spec.logy else ""}</text>'
-    )
+    mid_y = f"{(_MARGIN_T + x_axis_y) / 2:.1f}"
+    parts += [_text(f"{(_MARGIN_L + _SVG_W - _MARGIN_R) / 2:.1f}",
+                    _SVG_H - 12, 13,
+                    f'{spec.x}{" (log)" if spec.logx else ""}'),
+              _text(16, mid_y, 13, f'{spec.y}{" (log)" if spec.logy else ""}',
+                    transform=f"rotate(-90 16 {mid_y})")]
     # polylines + legend
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
             coords = " ".join(f"{x_px(x):.2f},{y_px(y):.2f}" for x, y in pts)
-            parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
-            )
+            parts.append(f'<polyline points="{coords}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
         legend_y = _MARGIN_T + 14 * i + 4
-        parts.append(
-            f'<line x1="{_SVG_W - _MARGIN_R - 130}" y1="{legend_y}" '
-            f'x2="{_SVG_W - _MARGIN_R - 110}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_SVG_W - _MARGIN_R - 105}" y="{legend_y + 4}" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts += [_line(_SVG_W - _MARGIN_R - 130, legend_y,
+                        _SVG_W - _MARGIN_R - 110, legend_y,
+                        f'stroke="{color}" stroke-width="2"'),
+                  _text(_SVG_W - _MARGIN_R - 105, legend_y + 4, 11, label,
+                        anchor="")]
     parts.append("</svg>")
     with open(path, "w") as handle:
         handle.write("\n".join(parts) + "\n")

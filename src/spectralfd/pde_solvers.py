@@ -33,7 +33,6 @@ division in sine space (a DST-I done with the same real FFT).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -42,14 +41,12 @@ from .denominators import phi_nsfd, phi_spectral, psi2_nsfd, psi2_spectral
 __all__ = [
     "Periodic",
     "Dirichlet",
-    "Boundary",
     "Grid1D",
     "PDEProblem",
     "EulerStd",
     "Nsfd",
     "SpectralPhys",
     "SpectralModal",
-    "SolverKind",
     "FieldTrajectory",
     "step",
     "evolve",
@@ -71,9 +68,6 @@ class Dirichlet:
     right_value: float
 
 
-Boundary = Union[Periodic, Dirichlet]
-
-
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform 1-D grid; periodic grids identify the point after the last
@@ -82,7 +76,7 @@ class Grid1D:
     x0: float
     dx: float
     m_points: int
-    boundary: Boundary
+    boundary: Periodic | Dirichlet
 
     def __post_init__(self) -> None:
         if not (self.dx > 0.0):
@@ -149,9 +143,6 @@ class SpectralModal:
     dt: float
 
 
-SolverKind = Union[EulerStd, Nsfd, SpectralPhys, SpectralModal]
-
-
 @dataclass(frozen=True)
 class FieldTrajectory:
     """Grid samples of the field with a uniform time step: row n of
@@ -170,14 +161,15 @@ class FieldTrajectory:
         return np.arange(len(self.frames)) * self.dt
 
 
-def _apply_boundary(frame: np.ndarray, boundary: Boundary) -> np.ndarray:
+def _apply_boundary(frame: np.ndarray,
+                    boundary: Periodic | Dirichlet) -> np.ndarray:
     if isinstance(boundary, Dirichlet):
         frame[0] = boundary.left_value
         frame[-1] = boundary.right_value
     return frame
 
 
-def _weights(kind: SolverKind, problem: PDEProblem,
+def _weights(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem,
              grid: Grid1D) -> tuple[float, float]:
     """The stencil weights (c0, c1) of an explicit solver kind:
     c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1 from its (phi, psi2).
@@ -200,7 +192,8 @@ def _weights(kind: SolverKind, problem: PDEProblem,
     return 1.0 + phi * b - 2.0 * c1, c1
 
 
-def _advance(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
+def _advance(problem: PDEProblem, grid: Grid1D,
+             kind: EulerStd | Nsfd | SpectralPhys,
              u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Write c0 * u[m] + c1 * (u[m+1] + u[m-1]) into ``out``, using ``work``
     for the neighbour sum; neither buffer may alias u.  Periodic edges wrap;
@@ -219,8 +212,8 @@ def _advance(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
     return _apply_boundary(out, grid.boundary)
 
 
-def step(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
-         frame) -> np.ndarray:
+def step(problem: PDEProblem, grid: Grid1D,
+         kind: EulerStd | Nsfd | SpectralPhys, frame) -> np.ndarray:
     """One explicit step c0 * u[m] + c1 * (u[m+1] + u[m-1]) of any explicit
     kind, as a new array, with the kind's stencil weights
     c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1."""
@@ -235,7 +228,17 @@ def step(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
 _CHECK_POINTS = 4096
 
 
-def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
+def _finite_prefix(frames: np.ndarray, start: int) -> np.ndarray:
+    """``frames`` before its first non-finite row at or after ``start``; a
+    cut prefix is a copy, which frees the rows past it."""
+    finite = np.isfinite(frames[start:]).all(axis=1)
+    if finite.all():
+        return frames
+    return frames[: start + int(np.argmin(finite))].copy()
+
+
+def evolve(problem: PDEProblem, grid: Grid1D,
+           kind: EulerStd | Nsfd | SpectralPhys | SpectralModal,
            n_steps: int) -> FieldTrajectory:
     """Run any solver kind for n_steps from the problem's initial data.
 
@@ -246,7 +249,8 @@ def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
     rows of about 4096 values in all (at least one row), and the trajectory
     ends at the last frame before the first non-finite one, as a copy of
     the finite rows only.  A diverging run may compute up to one block of
-    frames past the blow-up, which it drops.
+    frames past the blow-up, which it drops.  ``SpectralModal`` runs
+    through ``evolve_modal``, which ends at its last finite frame too.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
@@ -264,10 +268,9 @@ def evolve(problem: PDEProblem, grid: Grid1D, kind: SolverKind,
             _advance(problem, grid, kind, frames[n], frames[n + 1], work)
             if n + 1 - checked < rows and n + 1 < n_steps:
                 continue
-            block = frames[checked + 1:n + 2]
-            if not np.isfinite(block).all():
-                first = int(np.argmin(np.isfinite(block).all(axis=1)))
-                frames = frames[: checked + 1 + first].copy()  # frees the tail
+            kept = _finite_prefix(frames[:n + 2], checked + 1)
+            if len(kept) < n + 2:
+                frames = kept
                 break
             checked = n + 1
     return FieldTrajectory(grid=grid, dt=kind.dt, frames=frames)
@@ -290,6 +293,10 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
     dt for band-limited initial data, and real by construction.  All frames
     come from one batched inverse transform, which peaks at about twice the
     memory of the frames array (the complex spectra plus the frames).
+
+    Growth past the double range is a result, as in ``evolve``: the
+    trajectory ends at the last finite frame, and keeps the uncut frames'
+    bits.
     """
     if not isinstance(grid.boundary, Periodic):
         raise ValueError("modal evolution requires a periodic grid")
@@ -300,9 +307,11 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
     growth = problem.b - problem.a * grid_wavenumbers(grid)[: m // 2 + 1] ** 2
     times = np.arange(n_steps + 1) * dt
     spectrum = np.fft.rfft(problem.initial_condition)
-    frames = np.fft.irfft(spectrum * np.exp(np.outer(times, growth)), n=m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        frames = np.fft.irfft(spectrum * np.exp(np.outer(times, growth)),
+                              n=m)
     frames[0] = problem.initial_condition
-    return FieldTrajectory(grid=grid, dt=dt, frames=frames)
+    return FieldTrajectory(grid=grid, dt=dt, frames=_finite_prefix(frames, 1))
 
 
 def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,
@@ -326,9 +335,7 @@ def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,
             f"need s > b for the decaying transform regime, got s={s!r}, b={problem.b!r}"
         )
     a, b = problem.a, problem.b
-    if not (a > 0.0):
-        raise ValueError(f"diffusion coefficient must be positive, got {a!r}")
-    psi2 = psi2_spectral(grid.dx, a, b, s)
+    psi2 = psi2_spectral(grid.dx, a, b, s)  # raises unless a > 0
     n = grid.m_points - 2
     rhs = -psi2 * problem.initial_condition[1:-1] / a
     # lambda_j without the cancellation of -2 + 2 cos(theta) at small theta
@@ -349,7 +356,8 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(extension)[1:n + 1].imag
 
 
-def amplification_factor(kind: SolverKind, problem: PDEProblem, grid: Grid1D,
+def amplification_factor(kind: EulerStd | Nsfd | SpectralPhys | SpectralModal,
+                         problem: PDEProblem, grid: Grid1D,
                          k: float | np.ndarray) -> float | np.ndarray:
     """Per-step multiplier the solver applies to the spatial mode with
     physical wavenumber k (a float or an ndarray) on a periodic grid: the

@@ -61,18 +61,18 @@ class WaveSignature:
     fit_residual: float
 
 
-def _check_rate_order(rate: float, order: float) -> None:
+def _check_arguments(rate: float, order: float, t: float) -> None:
     if not (rate > 0.0):
         raise ValueError(f"rate must be positive, got {rate!r}")
     if not (0.0 < order <= 1.0):
         raise ValueError(f"order must lie in (0, 1], got {order!r}")
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
 
 
 def local_propagator(rate: float, order: float, t: float) -> float:
     """exp(-rate * t**order): unit value at t = 0, decaying for t > 0."""
-    _check_rate_order(rate, order)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_arguments(rate, order, t)
     if t == 0.0:
         return 1.0
     return math.exp(-rate * t**order)
@@ -82,9 +82,7 @@ def nonlocal_propagator(rate: float, order: float, t: float) -> float:
     """E_order(-rate * t**order); equals the local propagator at order 1.
 
     ``MLParams`` limits ``order`` to [0.01, 1], its contract's domain."""
-    _check_rate_order(rate, order)
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    _check_arguments(rate, order, t)
     if t == 0.0:
         return 1.0
     return mittag_leffler(MLParams(alpha=order), -rate * t**order)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from spectralfd.denominators import phi_nsfd, phi_spectral, psi2_nsfd, psi2_spectral
-from spectralfd.harness import parse_config, run_experiment
+from spectralfd.harness.config import parse_config
+from spectralfd.harness.experiments import run_experiment
 from spectralfd.ode_schemes import (
     DecayScheme,
     SchemeFamily,

@@ -91,6 +91,12 @@ class TestPsi2Nsfd:
         for r in (-100.0, -1.0, -1e-8, 0.0, 1e-8, 1.0, 30.0):
             assert psi2_nsfd(0.3, r) > 0.0
 
+    def test_sinh_overflow_names_its_argument(self):
+        # u = sqrt(|r|) dx / 2 = 711, past sinh's range
+        with pytest.raises(OverflowError,
+                           match=r"^sinh\(711\) exceeds the double range$"):
+            psi2_nsfd(2.0, -711.0**2)
+
     def test_bad_step(self):
         with pytest.raises(ValueError, match="space step must be positive"):
             psi2_nsfd(0.0, 1.0)

@@ -15,26 +15,28 @@ import pytest
 import spectralfd
 from spectralfd import ode_schemes
 from spectralfd.denominators import _EXP_OVERFLOW
-from spectralfd.harness import (
-    ConfigError,
-    ExperimentReport,
-    PlotSpec,
-    build_config,
-    config_echo,
-    emit_csv,
-    emit_json,
-    emit_svg,
-    parse_config,
-    run_experiment,
-)
 from spectralfd.harness import cli
 from spectralfd.harness.cli import _build_parser, main
+from spectralfd.harness.config import (
+    ConfigError,
+    build_config,
+    config_echo,
+    parse_config,
+)
 from spectralfd.harness.experiments import (
     _EXPERIMENTS,
     MAX_OSCILLATOR_AMPLITUDE,
     MAX_SIGNATURE_SAMPLES,
+    run_experiment,
 )
-from spectralfd.harness.report import UnknownColumnError
+from spectralfd.harness.report import (
+    ExperimentReport,
+    PlotSpec,
+    UnknownColumnError,
+    emit_csv,
+    emit_json,
+    emit_svg,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -106,9 +108,10 @@ class TestParseConfig:
     def test_happy_path(self):
         config = parse_config(GOLDEN_CONFIGS["decay_order"])
         assert config.experiment == "decay_order"
-        assert config.get("lambda") == 1.0
-        assert config.get("levels") == 5
-        assert config.get("x0") == 1.0  # default filled
+        values = config.as_dict()
+        assert values["lambda"] == 1.0
+        assert values["levels"] == 5
+        assert values["x0"] == 1.0  # default filled
 
     def test_sections_and_comments_are_cosmetic(self):
         text = (
@@ -116,7 +119,7 @@ class TestParseConfig:
             "t_final = 1.0  # inline comment\n[steps]\nh0 = 0.125\nlevels = 5\n"
         )
         config = parse_config(text)
-        assert config.get("t_final") == 1.0
+        assert config.as_dict()["t_final"] == 1.0
 
     def test_round_trip(self):
         for text in GOLDEN_CONFIGS.values():
@@ -182,10 +185,10 @@ class TestParseConfig:
         # a key with no size limit: n_steps this large is now rejected, and
         # so is a pde_compare ic_mode whose exact solution underflows
         text = GOLDEN_CONFIGS["laplace_bvp"] + "ic_mode = 9007199254740993\n"
-        assert parse_config(text).get("ic_mode") == 9007199254740993
+        assert parse_config(text).as_dict()["ic_mode"] == 9007199254740993
         for value in ("1e3", "1000.0"):
             text = GOLDEN_CONFIGS["ho_exact"].replace("1000", value)
-            assert parse_config(text).get("n_steps") == 1000
+            assert parse_config(text).as_dict()["n_steps"] == 1000
 
     @pytest.mark.parametrize("value", ["abc", "6.5", "inf", "nan", "1e400"])
     def test_non_integer_text_message(self, value):
@@ -732,16 +735,18 @@ class TestCli:
 
     def test_error_scale_past_the_double_range(self, tmp_path):
         # e^{b t} = e^780 overflows: the amplitude alone is the scale, and
-        # the modal march's nan error counts as diverged
+        # the modal march, which ends at its initial data, counts as
+        # diverged; nothing warns
         argv = ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10",
                 "--t-final", "0.78", "--dt", "0.78", "--methods",
                 "euler,spectral_modal", "--out", str(tmp_path)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(argv) == 0
         euler, modal = csv_rows(tmp_path / "pde_compare.csv")
         assert (euler["max_nodal_error"], euler["diverged"]) == ("1", "false")
-        assert (modal["max_nodal_error"], modal["diverged"]) == ("nan", "true")
+        assert (modal["t_final"], modal["max_nodal_error"],
+                modal["diverged"]) == ("0", "0", "true")
 
     # b dt on both sides of phi_nsfd's threshold, with a = 1 and
     # ic_mode = 10 (compare) or dx = 0.1 (stability), so psi2 and the exact
@@ -781,6 +786,97 @@ class TestCli:
         assert "b = 1000.0 and dt = 0.78 give 780" in err
         assert "dt = 0.39" not in err  # b dt = 390 is in range
         assert not any(tmp_path.iterdir())
+
+    def test_modal_run_past_the_double_range_ends_at_its_data(self, tmp_path,
+                                                              capsys):
+        # exp(b t) = e^780 on the constant mode: the row is data, without
+        # numpy's overflow warnings and without a nan error
+        argv = ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10",
+                "--t-final", "0.78", "--dt", "0.78", "--methods",
+                "spectral_modal", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        [row] = csv_rows(tmp_path / "pde_compare.csv")
+        assert (row["t_final"], row["max_nodal_error"],
+                row["diverged"]) == ("0", "0", "true")
+
+    # (b - a k^2) dt on both sides of phi_nsfd's threshold for spectral_phys:
+    # k = 0 from stability's zero data, or given as k_mode
+    _SPECTRAL_EDGE = [("pde_compare", {"ic_mode": "10", "t_final": "1",
+                                       "k_mode": "0"}),
+                      ("pde_stability", {"dx": "0.1"})]
+
+    @pytest.mark.parametrize("name, extra", _SPECTRAL_EDGE)
+    def test_spectral_step_at_the_range_of_exp_runs(self, name, extra):
+        config = build_config(name, {"a": "1", "b": repr(_EXP_OVERFLOW),
+                                     "dt": "1", "methods": "spectral_phys",
+                                     **extra})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run_experiment(config).rows
+
+    @pytest.mark.parametrize("name, extra", _SPECTRAL_EDGE)
+    def test_spectral_step_past_the_range_of_exp_is_a_config_error(
+            self, name, extra):
+        b = repr(math.nextafter(_EXP_OVERFLOW, math.inf))
+        raw = {"a": "1", "b": b, "dt": "1", **extra}
+        build_config(name, {**raw, "methods": "euler,spectral_modal"})
+        with pytest.raises(ConfigError) as err:
+            build_config(name, {**raw, "methods": "euler,spectral_phys"})
+        assert str(err.value) == ("dt: spectral_phys needs (b - a k^2)*dt "
+                                  "<= 709, the range of exp; k = 0.0 and "
+                                  "dt = 1.0 give 709")
+
+    @pytest.mark.parametrize("argv", [
+        ["pde", "--study", "stability", "--b", "1000", "--dt", "1",
+         "--methods", "spectral_phys"],
+        ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10", "--t-final",
+         "0.78", "--dt", "0.78", "--methods", "spectral_phys", "--k-mode",
+         "0"],
+    ])
+    def test_spectral_overflowing_run_is_rejected_whole(self, argv,
+                                                        tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt: spectral_phys needs")
+        assert "k = 0.0" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_spectral_check_resolves_the_default_mode(self, tmp_path):
+        # without k_mode the run takes k = 10 from its data, and
+        # (1000 - 100) * 0.78 = 702 is in range
+        argv = ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10",
+                "--t-final", "0.78", "--dt", "0.78", "--methods",
+                "spectral_phys", "--out", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 0
+        assert (tmp_path / "pde_compare.csv").exists()
+
+    def test_spectral_check_skips_a_grid_it_cannot_build(self, tmp_path,
+                                                         capsys):
+        # b dt = 1000 asks for the default k, but dx = 5e-324 / 64 underflows
+        # to 0: the check leaves the config to the others, with no traceback
+        argv = ["pde", "--b", "1000", "--dt", "1", "--t-final", "1",
+                "--domain-length", "5e-324", "--methods", "spectral_phys",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: t_final: exp((b - a k^2) t) leaves the double "
+            "range by t = t_final, with k = 2 pi ic_mode / domain_length\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["pde", "--a", "1e-9", "--b", "-1", "--methods", "nsfd"],
+        ["pde", "--methods", "spectral_phys", "--s-mode", "1e9"],
+    ])
+    def test_psi2_overflow_names_sinh(self, argv, tmp_path, capsys):
+        # b/a = -1e9: sinh(sqrt(1e9) dx / 2) leaves the double range
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "runtime abort in pde_compare: OverflowError: sinh(1552.28) "
+            "exceeds the double range\n")
 
     @pytest.mark.parametrize("argv", [
         ["ho", "--y0", "1e155", "--n-steps", "1000"],

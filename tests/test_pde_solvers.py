@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,29 @@ class TestEvolveModal:
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
         with pytest.raises(ValueError, match="n_steps must be >= 1"):
             evolve_modal(problem, grid, 0.1, 0)
+
+    def test_ends_at_the_last_finite_frame(self):
+        # the constant mode's e^{b t} leaves the double range after frame
+        # 28 (50 t > 709.78 from t = 14.5): the frames kept are the uncut
+        # transform's, bit for bit, and nothing warns
+        m, dt, n_steps = 64, 0.5, 40
+        grid = periodic_grid(m=m)
+        ic = np.sin(10.0 * grid.points)
+        problem = PDEProblem(a=1.0, b=50.0, initial_condition=ic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_modal(problem, grid, dt, n_steps)
+        growth = 50.0 - grid_wavenumbers(grid)[: m // 2 + 1] ** 2
+        times = np.arange(n_steps + 1) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            uncut = np.fft.irfft(np.fft.rfft(ic)
+                                 * np.exp(np.outer(times, growth)), n=m)
+        uncut[0] = ic
+        kept = len(traj.frames)
+        assert kept == 29
+        assert traj.frames.tobytes() == uncut[:kept].tobytes()
+        assert not np.isfinite(uncut[kept]).all()
+        assert traj.frames.base is None  # a copy: the tail is freed
 
     def test_single_mode_exact_at_large_grid(self):
         m = 16384
