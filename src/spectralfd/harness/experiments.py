@@ -139,6 +139,10 @@ def _check_decay_order(v: dict, bad) -> None:
 def _check_ho_exact(v: dict, bad) -> None:
     if v["omega"] * v["h"] / 2.0 >= math.pi:
         bad("h", "omega*h/2 must stay below pi")
+    elif 2.0 * math.sin(v["omega"] * v["h"]) == 0.0:
+        # the report's amplitude invariant divides by 2 sin(omega*h)
+        bad("h", "2 sin(omega*h) underflows to 0, and the amplitude "
+                 "invariant divides by it")
     if v["n_steps"] + 1 > MAX_ARRAY_POINTS:
         _too_large(bad, "n_steps")
     if math.hypot(v["y0"], v["v0"] / v["omega"]) > MAX_OSCILLATOR_AMPLITUDE:
@@ -179,6 +183,9 @@ def _check_spectral_steps(v: dict, bad, setup) -> None:
 
 def _check_pde_compare(v: dict, bad) -> None:
     _check_nsfd_steps(v, bad)
+    if not v["domain_length"] / v["m_points"] > 0.0:
+        bad("domain_length", "the grid spacing domain_length / m_points "
+                             "underflows to 0")
     for dt in v["dt"]:
         if not _divides(v["t_final"], dt):
             bad("dt", f"entry {dt!r} does not divide t_final")

@@ -104,8 +104,13 @@ def _update(scheme: DecayScheme) -> tuple[np.ufunc, float]:
     if family is SchemeFamily.BACKWARD_EULER:
         return np.divide, 1.0 + lam * h
     if family is SchemeFamily.MICKENS_EXACT:
-        # implicit quotient form; 1 + lam*phi collapses to exp(lam*h)
-        return np.divide, 1.0 + lam * phi_nsfd(h, lam)
+        # implicit quotient form; 1 + lam*phi collapses to exp(lam*h), which
+        # past the range of exp is inf: every state after x_0 is then 0,
+        # within exp(-709) |x_0| of the exact one
+        try:
+            return np.divide, 1.0 + lam * phi_nsfd(h, lam)
+        except OverflowError:
+            return np.divide, math.inf
     return np.multiply, math.exp(-lam * h)
 
 
@@ -185,7 +190,8 @@ def order_estimate(family: SchemeFamily, rate: float, x0: float,
     deviation from x0*exp(-rate*t_final); observed_p pairs consecutive
     levels as log2(error(h)/error(h/2)).  Rows whose error sits at the
     roundoff floor (1e-13 * |x0|) are flagged exact and excluded from order
-    ratios.
+    ratios.  A level that blows up is data: its error is inf or nan, and
+    neither ratio it takes part in gets an observed_p.
     """
     if levels < 4:
         raise ValueError(f"need at least 4 levels, got {levels!r}")
@@ -208,7 +214,8 @@ def order_estimate(family: SchemeFamily, rate: float, x0: float,
     for i, (h, err) in enumerate(zip(h_list, errors)):
         exact = err <= floor
         p: Optional[float] = None
-        if not exact and i + 1 < len(errors) and errors[i + 1] > floor:
-            p = math.log2(errors[i] / errors[i + 1])
+        if (not exact and i + 1 < len(errors) and errors[i + 1] > floor
+                and math.isfinite(err) and math.isfinite(errors[i + 1])):
+            p = math.log2(err / errors[i + 1])
         samples.append(OrderSample(h=h, error=err, observed_p=p, exact=exact))
     return samples

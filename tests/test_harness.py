@@ -536,6 +536,17 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "decay_order.csv").exists()
 
+    def test_decay_blowup_is_data(self, tmp_path, capsys):
+        # forward Euler's finest level reaches inf: exit 0, blank orders
+        code = main(["decay", "--lambda", "1e4", "--out", str(tmp_path)])
+        assert code == 0
+        euler = [r for r in csv_rows(tmp_path / "decay_order.csv")
+                 if r["scheme"] == "forward_euler"]
+        assert euler[-1]["error"] == "inf"
+        blank = [r["observed_p"] == "" for r in euler]
+        assert blank == [False] * 4 + [True] * 2
+        assert capsys.readouterr().err == ""
+
     def test_run_subcommand(self, tmp_path):
         config_file = tmp_path / "study.cfg"
         config_file.write_text(GOLDEN_CONFIGS["laplace_bvp"])
@@ -864,6 +875,8 @@ class TestCli:
                 "--out", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
+            "config error: domain_length: the grid spacing domain_length / "
+            "m_points underflows to 0\n"
             "config error: t_final: exp((b - a k^2) t) leaves the double "
             "range by t = t_final, with k = 2 pi ic_mode / domain_length\n")
 
@@ -999,6 +1012,13 @@ class TestCli:
          "ic_mode: the initial sine vanishes at every grid point"),
         (["ho", "--omega", "10", "--h", "0.7"],
          "h: omega*h/2 must stay below pi"),
+        # 2 sin(omega*h) was 0: a silent nan energy_drift and a warning
+        (["ho", "--omega", "1e-9", "--h", "5e-324", "--v0", "-1"],
+         "h: 2 sin(omega*h) underflows to 0"),
+        # dx = 0 made Grid1D raise ValueError (exit 3)
+        (["pde", "--ic-mode", "0", "--domain-length", "5e-324"],
+         "domain_length: the grid spacing domain_length / m_points "
+         "underflows to 0"),
         (["signature", "--alpha", "0.7", "--t-min", "0.1", "--t-max", "0.01"],
          "t_max: must exceed t_min"),
         (["decay", "--schemes", "bogus"], "schemes: unknown entries ['bogus']"),

@@ -254,6 +254,29 @@ class TestOrderEstimate:
             assert row.observed_p is None
             assert row.error <= 1e-13
 
+    def test_blowup_is_data(self):
+        # rate 1e4: forward Euler's error grows level by level to inf at
+        # h = 2**-8, where log2(finite / inf) was a math domain error
+        rows = order_estimate(SchemeFamily.FORWARD_EULER, 1e4, 1.0, 1.0,
+                              0.125, 6)
+        errors = [row.error for row in rows]
+        assert math.isfinite(errors[-2]) and errors[-1] == math.inf
+        for row, finer in zip(rows, errors[1:] + [math.nan]):
+            if math.isfinite(row.error) and math.isfinite(finer):
+                assert row.observed_p == math.log2(row.error / finer)
+            else:
+                assert row.observed_p is None
+
+    def test_mickens_past_the_range_of_exp_damps_to_zero(self):
+        # rate * h = 1250 > 709: the quotient's exp(rate*h) is inf, and
+        # phi_nsfd's OverflowError aborted the march
+        traj = decay_solve(scheme(SchemeFamily.MICKENS_EXACT, 1e4, 0.125),
+                           1.0, 8)
+        assert traj.states.tolist() == [1.0] + [0.0] * 8
+        rows = order_estimate(SchemeFamily.MICKENS_EXACT, 1e4, 1.0, 1.0,
+                              0.125, 6)
+        assert all(row.exact and row.error == 0.0 for row in rows)
+
     def test_requires_four_levels(self):
         with pytest.raises(ValueError):
             order_estimate(SchemeFamily.FORWARD_EULER, 1.0, 1.0, 1.0,

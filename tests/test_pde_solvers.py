@@ -509,13 +509,17 @@ class TestMatchedSpectralPair:
 
 
 class TestEvolveIsRepeatedStep:
-    """evolve and step share one kernel: no second stepping path."""
+    """evolve and step share one march: no second stepping path.  At M = 3
+    both wrap edges read the same two neighbours; M = 4096 takes one row
+    per finiteness check.  The spacing is the same at every M, so dt = 3
+    is unstable with diffusion at every M."""
 
     @pytest.mark.parametrize("boundary", [Periodic(), Dirichlet(0.5, -0.25)])
     @pytest.mark.parametrize("a", [0.0, 0.7])
-    def test_frames_bit_equal(self, boundary, a):
-        m, b = 33, 0.4
-        grid = Grid1D(x0=0.0, dx=2.0 * math.pi / m, m_points=m,
+    @pytest.mark.parametrize("m", [3, 4, 33, 4096])
+    def test_frames_bit_equal(self, boundary, a, m):
+        b = 0.4
+        grid = Grid1D(x0=0.0, dx=2.0 * math.pi / 33, m_points=m,
                       boundary=boundary)
         u0 = np.random.RandomState(3).standard_normal(m)
         problem = PDEProblem(a=a, b=b, initial_condition=u0)
