@@ -29,7 +29,12 @@ from .. import __version__
 from .. import ode_schemes as ode
 from .. import pde_solvers as pde
 from .. import propagators
-from ..denominators import _EXP_OVERFLOW
+from ..denominators import (
+    _EXP_OVERFLOW,
+    DegenerateDenominatorError,
+    psi2_nsfd,
+    psi2_spectral,
+)
 from ..propagators import MIN_FIT_SAMPLES
 from ..specfun import ALPHA_MIN, MLParams, mittag_leffler
 from .config import ExperimentConfig, Field, config_echo
@@ -54,6 +59,12 @@ MAX_OSCILLATOR_AMPLITUDE = math.sqrt(sys.float_info.max) / 2
 # Mittag-Leffler evaluation, so this bounds work rather than memory: about
 # half a second of evaluations.
 MAX_SIGNATURE_SAMPLES = 10_000
+
+# A signature_demo window's smallest signature 1 - propagator(t_min), whose
+# leading term is lambda t_min^alpha, lies orders of magnitude above the
+# propagators' roundoff (about 1e-15) once that term reaches this floor.
+# Validation evaluates the propagator only for a window below it.
+_SIGNATURE_FLOOR = 1e-8
 
 _SCHEMES = tuple(f.value for f in ode.SchemeFamily)
 # each pde method's solver kind; SpectralPhys also takes a (k, s)
@@ -181,11 +192,48 @@ def _check_spectral_steps(v: dict, bad, setup) -> None:
                       f"dt = {dt!r} give {rate * dt:g}")
 
 
+def _psi2_fault(psi2: Callable, *args) -> Optional[str]:
+    """Why the library's ``psi2(*args)`` cannot weight a run: its
+    OverflowError, or a value that is not finite.  None for a usable value,
+    and for a sine zero, which still aborts the run (exit 3)."""
+    try:
+        value = psi2(*args)
+    except OverflowError as exc:
+        return str(exc)
+    except DegenerateDenominatorError:
+        return None
+    return None if math.isfinite(value) else f"it is {value!r}"
+
+
+def _check_space_steps(v: dict, dx: float, key: str, bad) -> None:
+    # the space denominators that the diffusion weight a/psi2 divides by:
+    # dx**2, and each method's psi2 as its run forms it; with a = 0 no
+    # weight forms one.  The default s_mode gives the ratio -(pi/L)^2, and
+    # the small sinh argument pi/(2 m_points)
+    a, b, methods = v["a"], v["b"], v["methods"]
+    if a == 0.0:
+        return
+    if not 0.0 < dx * dx < math.inf:
+        bad(key, f"the grid spacing {dx!r} squared leaves the double range, "
+                 "and the diffusion term divides by it")
+        return
+    if "nsfd" in methods and (fault := _psi2_fault(psi2_nsfd, dx, b / a)):
+        bad("a", f"nsfd's psi2_nsfd(dx, b/a) fails with dx = {dx!r} and "
+                 f"b/a = {b / a!r}: {fault}")
+    if "spectral_phys" in methods and "s_mode" in v and (
+            fault := _psi2_fault(psi2_spectral, dx, a, b, v["s_mode"])):
+        bad("s_mode", f"spectral_phys's psi2_spectral(dx, a, b, s_mode) "
+                      f"fails with dx = {dx!r}: {fault}")
+
+
 def _check_pde_compare(v: dict, bad) -> None:
     _check_nsfd_steps(v, bad)
-    if not v["domain_length"] / v["m_points"] > 0.0:
+    dx = v["domain_length"] / v["m_points"]
+    if not dx > 0.0:
         bad("domain_length", "the grid spacing domain_length / m_points "
                              "underflows to 0")
+    else:
+        _check_space_steps(v, dx, "domain_length", bad)
     for dt in v["dt"]:
         if not _divides(v["t_final"], dt):
             bad("dt", f"entry {dt!r} does not divide t_final")
@@ -213,6 +261,7 @@ def _check_pde_compare(v: dict, bad) -> None:
 
 def _check_pde_stability(v: dict, bad) -> None:
     _check_nsfd_steps(v, bad)
+    _check_space_steps(v, v["dx"], "dx", bad)
     if v["m_points"] > MAX_ARRAY_POINTS:
         _too_large(bad, "m_points")
     else:
@@ -224,11 +273,26 @@ def _check_signature_demo(v: dict, bad) -> None:
         bad("t_max", "must exceed t_min")
     if v["propagator"] == "nonlocal_ml" and v["alpha"] < ALPHA_MIN:
         bad("alpha", f"must be >= {ALPHA_MIN:g} for nonlocal_ml")
+        return
+    # the fit takes the log of the signature 1 - propagator(t) at every
+    # sample, and the smallest one is at t_min
+    if v["lambda"] * v["t_min"] ** v["alpha"] >= _SIGNATURE_FLOOR:
+        return
+    name = _PROPAGATORS[v["propagator"]]
+    signature = 1.0 - getattr(propagators, name)(v["lambda"], v["alpha"],
+                                                 v["t_min"])
+    if not signature > 0.0:
+        bad("t_min", f"the signature 1 - {name}(t_min) rounds to "
+                     f"{signature!r}, and the fit takes its log")
 
 
 def _check_laplace_bvp(v: dict, bad) -> None:
+    dx = 1.0 / (v["m0"] - 1)  # the coarsest level's, where psi2 is largest
     if v["s"] <= v["b"]:
         bad("s", "must exceed b (decaying transform regime)")
+    elif fault := _psi2_fault(psi2_spectral, dx, v["a"], v["b"], v["s"]):
+        bad("s", f"psi2_spectral(dx, a, b, s) fails with dx = {dx!r} and "
+                 f"(b - s)/a = {(v['b'] - v['s']) / v['a']!r}: {fault}")
     # the finest grid has (m0 - 1) * 2**(levels - 1) + 1 points
     if _refined_too_large(v["m0"] - 1, v["levels"]):
         _too_large(bad, "levels")

@@ -308,6 +308,40 @@ class TestReportEmission:
         emit_csv(run_experiment(config), b)
         assert csv_without_timestamp(a) == csv_without_timestamp(b)
 
+    def test_rewrite_keeps_mode_and_links(self, tmp_path):
+        config = parse_config(GOLDEN_CONFIGS["laplace_bvp"])
+        report = run_experiment(config)
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "r.csv"
+        with open(fresh, "w"):
+            pass
+        emit_csv(report, out)
+        # a new report gets the mode open(path, "w") gives: 0o666 & ~umask
+        assert out.stat().st_mode == fresh.stat().st_mode
+        out.chmod(0o640)
+        link = tmp_path / "link.csv"
+        os.link(out, link)
+        out.write_text("x" * 10_000)
+        emit_csv(report, out)
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert link.read_text() == out.read_text()
+        assert csv_without_timestamp(out) == \
+            csv_without_timestamp(GOLDEN_DIR / "laplace_bvp.csv")
+
+    def test_rewrite_through_a_symlink_updates_its_target(self, tmp_path):
+        config = parse_config(GOLDEN_CONFIGS["decay_order"])
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("x" * 10_000)
+        link.symlink_to(target)
+        report = run_experiment(config)
+        emit_csv(report, link)
+        assert link.is_symlink()
+        assert csv_without_timestamp(target) == \
+            csv_without_timestamp(GOLDEN_DIR / "decay_order.csv")
+        # a device has no length to cut
+        device = tmp_path / "device.csv"
+        device.symlink_to(os.devnull)
+        emit_csv(report, device)
+
     def test_json_mirrors_rows(self, tmp_path):
         config = parse_config(GOLDEN_CONFIGS["laplace_bvp"])
         report = run_experiment(config)
@@ -560,6 +594,22 @@ class TestCli:
                      "--format", "svg"])
         assert code == 0
         assert (tmp_path / "signature_demo.svg").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_rerun_overwrites_a_longer_report(self, fmt, tmp_path):
+        # the rerun's report is shorter than the one it overwrites, and its
+        # bytes equal a fresh write's apart from the generation timestamp
+        report = f"pde_compare.{fmt}"
+        argv = ["pde", "--format", fmt, "--dt"]
+        assert main(argv + ["0.01,0.1,1.0", "--out", str(tmp_path)]) == 0
+        longer = (tmp_path / report).stat().st_size
+        assert main(argv + ["0.1", "--out", str(tmp_path)]) == 0
+        assert main(argv + ["0.1", "--out", str(tmp_path / "fresh")]) == 0
+        texts = [re.sub(r'(# generated: |"generated": ")[^"\n]*', "",
+                        path.read_text())
+                 for path in (tmp_path / report, tmp_path / "fresh" / report)]
+        assert texts[0] == texts[1]
+        assert (tmp_path / report).stat().st_size < longer
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         config_file = tmp_path / "bad.cfg"
@@ -880,16 +930,36 @@ class TestCli:
             "config error: t_final: exp((b - a k^2) t) leaves the double "
             "range by t = t_final, with k = 2 pi ic_mode / domain_length\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["pde", "--a", "1e-9", "--b", "-1", "--methods", "nsfd"],
-        ["pde", "--methods", "spectral_phys", "--s-mode", "1e9"],
+    @pytest.mark.parametrize("argv, message", [
+        (["pde", "--a", "1e-9", "--b", "-1", "--methods", "nsfd"],
+         "a: nsfd's psi2_nsfd(dx, b/a) fails with dx = 0.09817477042468103 "
+         "and b/a = -999999999.9999999"),
+        (["pde", "--methods", "spectral_phys", "--s-mode", "1e9"],
+         "s_mode: spectral_phys's psi2_spectral(dx, a, b, s_mode) fails "
+         "with dx = 0.09817477042468103"),
     ])
-    def test_psi2_overflow_names_sinh(self, argv, tmp_path, capsys):
-        # b/a = -1e9: sinh(sqrt(1e9) dx / 2) leaves the double range
-        assert main(argv + ["--out", str(tmp_path)]) == 3
+    def test_psi2_overflow_names_sinh(self, argv, message, tmp_path, capsys):
+        # b/a = -1e9: sinh(sqrt(1e9) dx / 2) leaves the double range, which
+        # aborted every method's rows (exit 3) before validation asked psi2
+        assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            "runtime abort in pde_compare: OverflowError: sinh(1552.28) "
-            "exceeds the double range\n")
+            f"config error: {message}: sinh(1552.28) exceeds the double "
+            "range\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_space_step_check_skips_a_diffusionless_run(self, tmp_path):
+        # with a = 0 no method divides by dx**2 or forms a psi2
+        argv = ["pde", "--a", "0", "--b", "-1", "--ic-mode", "0",
+                "--domain-length", "1e-160", "--methods", "euler,nsfd"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(csv_rows(tmp_path / "pde_compare.csv")) == 6
+
+    def test_signature_window_below_the_floor_still_runs(self, tmp_path):
+        # lambda t_min^alpha = 1.3e-9 is below the floor, so validation
+        # evaluates the propagator there, and its signature is positive
+        argv = ["signature", "--alpha", "0.7", "--t-min", "1e-13"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(csv_rows(tmp_path / "signature_demo.csv")) == 1
 
     @pytest.mark.parametrize("argv", [
         ["ho", "--y0", "1e155", "--n-steps", "1000"],
@@ -1023,6 +1093,31 @@ class TestCli:
          "t_max: must exceed t_min"),
         (["decay", "--schemes", "bogus"], "schemes: unknown entries ['bogus']"),
         (["pde", "--dt", ","], "dt: expected a non-empty list"),
+        # psi2 was 4 inf^2 / inf: every error a silent nan (exit 0)
+        (["laplace", "--a", "5e-324", "--b", "1e-9", "--s", "2"],
+         "s: psi2_spectral(dx, a, b, s) fails with dx = 0.1 and "
+         "(b - s)/a = -inf: it is nan"),
+        (["laplace", "--a", "1e9", "--b", "709", "--s", "1e300"],
+         "s: psi2_spectral(dx, a, b, s) fails with dx = 0.1 and "
+         "(b - s)/a = -1.0000000000000001e+291: sinh(1.58114e+144) exceeds "
+         "the double range"),
+        # dx**2 = 0 was a ZeroDivisionError, and dx**2 = inf an
+        # OverflowError that named no cause (exit 3)
+        (["pde", "--ic-mode", "0", "--domain-length", "1e-160"],
+         "domain_length: the grid spacing 1.5625e-162 squared leaves the "
+         "double range, and the diffusion term divides by it"),
+        (["pde", "--study", "stability", "--dx", "1e-300"],
+         "dx: the grid spacing 1e-300 squared leaves the double range"),
+        (["pde", "--study", "stability", "--dx", "1e300", "--a", "0.78"],
+         "dx: the grid spacing 1e+300 squared leaves the double range"),
+        # 1 - propagator(t_min) rounded to 0: FitDegenerateError (exit 3)
+        (["signature", "--alpha", "1", "--t-min", "1e-300", "--t-max",
+          "0.001"],
+         "t_min: the signature 1 - nonlocal_propagator(t_min) rounds to 0.0, "
+         "and the fit takes its log"),
+        (["signature", "--alpha", "0.5", "--propagator", "local_exp",
+          "--t-min", "1e-300"],
+         "t_min: the signature 1 - local_propagator(t_min) rounds to 0.0"),
     ])
     def test_bad_flag_is_a_config_error(self, argv, message, tmp_path,
                                         capsys):
