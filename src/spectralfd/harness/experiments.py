@@ -71,6 +71,8 @@ _SCHEMES = tuple(f.value for f in ode.SchemeFamily)
 _PDE_METHODS = {"euler": pde.EulerStd, "nsfd": pde.Nsfd,
                 "spectral_modal": pde.SpectralModal,
                 "spectral_phys": pde.SpectralPhys}
+# the pde methods that square the grid's wavenumbers whatever a is
+_SPECTRAL = frozenset({"spectral_modal", "spectral_phys"})
 # signature_demo's propagators, by the name each has in ``propagators``
 _PROPAGATORS = {"local_exp": "local_propagator",
                 "nonlocal_ml": "nonlocal_propagator"}
@@ -155,7 +157,9 @@ def _check_ho_exact(v: dict, bad) -> None:
         bad("h", "2 sin(omega*h) underflows to 0, and the amplitude "
                  "invariant divides by it")
     if v["n_steps"] + 1 > MAX_ARRAY_POINTS:
-        _too_large(bad, "n_steps")
+        # the run keeps only its reported states, so this bounds work
+        bad("n_steps", f"must be at most {MAX_ARRAY_POINTS - 1}, a bound on "
+                       "work: each step is one update of the recurrence")
     if math.hypot(v["y0"], v["v0"] / v["omega"]) > MAX_OSCILLATOR_AMPLITUDE:
         bad("y0", "the amplitude hypot(y0, v0/omega) exceeds "
                   f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
@@ -268,12 +272,47 @@ def _check_pde_stability(v: dict, bad) -> None:
         _check_spectral_steps(v, bad, _stability_problem)
 
 
+def _with_wavenumber_check(check: Callable, key: str,
+                           spacing: Callable[[dict], float]) -> Callable:
+    """``check``, then a rejection (on ``key``) of a grid whose largest
+    wavenumber pi/dx squares past the double range, for a run that squares
+    its grid's wavenumbers: one with diffusion (a > 0), or with a spectral
+    method, whatever a is.  The rejection is reported only when ``check``
+    reported nothing, so every config that ``check`` rejects keeps its
+    messages."""
+    def checked(v: dict, bad) -> None:
+        found = []
+
+        def note(name: str, message: str) -> None:
+            found.append(name)
+            bad(name, message)
+
+        check(v, note)
+        if found or (v["a"] == 0.0 and not _SPECTRAL.intersection(
+                v["methods"])):
+            return
+        dx = spacing(v)
+        k_max = math.pi / dx
+        if not k_max * k_max < math.inf:
+            bad(key, f"the largest wavenumber pi/dx, with dx = {dx!r}, "
+                     "squared leaves the double range, and the run squares "
+                     "the grid's wavenumbers")
+    return checked
+
+
 def _check_signature_demo(v: dict, bad) -> None:
     if v["t_max"] <= v["t_min"]:
         bad("t_max", "must exceed t_min")
     if v["propagator"] == "nonlocal_ml" and v["alpha"] < ALPHA_MIN:
         bad("alpha", f"must be >= {ALPHA_MIN:g} for nonlocal_ml")
         return
+    # the propagator at the window's far end evaluates the Mittag-Leffler
+    # function at -lambda t_max^alpha, which must be a finite argument
+    if (v["propagator"] == "nonlocal_ml" and v["t_max"] > v["t_min"]
+            and not math.isfinite(v["lambda"] * v["t_max"] ** v["alpha"])):
+        bad("t_max", "lambda * t_max**alpha leaves the double range, and "
+                     "nonlocal_ml evaluates the Mittag-Leffler function "
+                     "there")
     # the fit takes the log of the signature 1 - propagator(t) at every
     # sample, and the smallest one is at t_min
     if v["lambda"] * v["t_min"] ** v["alpha"] >= _SIGNATURE_FLOOR:
@@ -315,22 +354,28 @@ def _run_ho_exact(p: dict) -> list:
     omega, h, n_steps = p["omega"], p["h"], p["n_steps"]
     y0, v0 = p["y0"], p["v0"]
     y1 = ode.ho_initial_from_velocity(omega, h, y0, v0)
-    traj = ode.ho_exact_solve(omega, h, n_steps, y0, y1)
-    y = traj.states
     checkpoints = sorted({n for n in (1, 10, 100, 1000, 10000, n_steps)
                           if 1 <= n <= n_steps})
     # discrete amplitude invariant, defined on interior indices; needed only
-    # at i = 1 and at the interior checkpoints
+    # at i = 1 and at the interior checkpoints, so the march keeps those
+    # states, their neighbours and the checkpoints
+    i = [1] + [n for n in checkpoints if n < n_steps]
+    wanted = sorted({*checkpoints, *(n + d for n in i for d in (-1, 1))})
+    y = dict(zip(wanted, ode.ho_exact_states(omega, h, y0, y1,
+                                             wanted).tolist()))
+
+    def at(shift: int) -> np.ndarray:
+        return np.array([y[n + shift] for n in i])
+
     s = 2.0 * math.sin(omega * h)
-    i = np.array([1] + [n for n in checkpoints if n < n_steps])
-    invariant = y[i] ** 2 + ((y[i + 1] - y[i - 1]) / s) ** 2
-    drifts = dict(zip(i.tolist(), np.abs(invariant - invariant[0]).tolist()))
+    invariant = at(0) ** 2 + ((at(1) - at(-1)) / s) ** 2
+    drifts = dict(zip(i, np.abs(invariant - invariant[0]).tolist()))
     rows = []
     for n in checkpoints:
         t = n * h
         exact = y0 * math.cos(omega * t) + v0 * math.sin(omega * t) / omega
-        rows.append((omega, h, n, float(y[n]), exact,
-                     abs(float(y[n]) - exact), drifts.get(n)))
+        rows.append((omega, h, n, y[n], exact, abs(y[n] - exact),
+                     drifts.get(n)))
     return rows
 
 
@@ -528,7 +573,10 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                  "diverged"),
         plot=PlotSpec(x="dt", y="max_nodal_error", logx=True, logy=True,
                       group_by=("method",)),
-        run=_run_pde_compare, check=_check_pde_compare,
+        run=_run_pde_compare,
+        check=_with_wavenumber_check(
+            _check_pde_compare, "domain_length",
+            lambda v: v["domain_length"] / v["m_points"]),
         cli_defaults={"a": "1.0", "b": "0.0", "ic_mode": "1",
                       "t_final": "2.0", "dt": "0.01,0.1,1.0"},
     ),
@@ -542,7 +590,9 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                 *_PDE_SOLVER_FIELDS),
         columns=("method", "k", "dt", "amplification", "stable_flag"),
         plot=PlotSpec(x="k", y="amplification", group_by=("method", "dt")),
-        run=_run_pde_stability, check=_check_pde_stability,
+        run=_run_pde_stability,
+        check=_with_wavenumber_check(_check_pde_stability, "dx",
+                                     lambda v: v["dx"]),
         # the CLI's m_points of 64 overrides the field's 32
         cli_defaults={"a": "1.0", "b": "0.0", "dx": "0.1", "m_points": "64",
                       "dt": "0.01,0.1,1.0"},

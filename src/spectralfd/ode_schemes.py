@@ -17,10 +17,13 @@ one-step-at-a-time loop.
 The harmonic-oscillator recurrence y_{n+1} = 2*cos(omega*h)*y_n - y_{n-1}
 is the exact discrete form of y'' + omega^2 y = 0 (its denominator is the
 squared quarter-period sine measure), and conserves the discrete amplitude
-up to roundoff.  ``ho_exact_solve`` carries the two previous values as
-Python floats and writes each new one into a preallocated array through a
-``memoryview``, so no numpy scalar is formed per step.  Both marches are
-bit-equal to the scalar loops in ``tests/oracles.py``.
+up to roundoff.  ``ho_exact_states`` is its one march.  It carries the two
+previous values as Python floats, two steps per loop iteration with their
+roles swapped, and keeps only the states at the step indices asked for, so
+a run holds no trajectory.  The loop stays sequential: any other form of
+the recurrence (a closed form, a matrix power, a vectorised scan) changes
+the roundoff drift that the oscillator study exists to report.  Both
+marches are bit-equal to the scalar loops in ``tests/oracles.py``.
 
 Neither march warns on overflow: like Python float arithmetic, an unstable
 run (forward Euler with |1 - rate*h| > 1) silently reaches inf.
@@ -47,7 +50,7 @@ __all__ = [
     "Trajectory",
     "OrderSample",
     "decay_solve",
-    "ho_exact_solve",
+    "ho_exact_states",
     "ho_initial_from_velocity",
     "order_estimate",
 ]
@@ -139,19 +142,23 @@ def ho_initial_from_velocity(omega: float, h: float, y0: float,
     return y0 * math.cos(omega * h) + v0 * math.sin(omega * h) / omega
 
 
-def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
-                   y1: float) -> Trajectory:
-    """Exact harmonic-oscillator recurrence y_{n+1} = 2cos(omega h) y_n - y_{n-1}.
+def ho_exact_states(omega: float, h: float, y0: float, y1: float,
+                    indices) -> np.ndarray:
+    """States y_n of the exact harmonic-oscillator recurrence
+    y_{n+1} = 2cos(omega h) y_n - y_{n-1}, at the step indices ``indices``.
 
-    With y0 = 1 and y1 = cos(omega*h) the output is cos(n*omega*h) up to
-    roundoff accumulation.  Requires omega*h/2 < pi (first zero of the
-    quarter-period sine measure).
+    The indices must increase strictly from 0 or above; the result holds
+    y_n for each, as float64, and ``range(n_steps + 1)`` gives the whole
+    trajectory.  With y0 = 1 and y1 = cos(omega*h), y_n is cos(n*omega*h)
+    up to roundoff accumulation.  Requires omega*h/2 < pi (first zero of
+    the quarter-period sine measure).
 
-    The two previous values are carried as Python floats, and each new
-    value is written into a preallocated array through a ``memoryview``,
-    which stores the same double without forming a numpy scalar per step.
-    Overflow gives inf or nan without a warning, as Python float
-    arithmetic does.
+    Only the two previous values are carried, as Python floats, and only
+    the states asked for are kept.  The loop runs two steps per iteration,
+    each new value overwriting the older one, with the same two roundings
+    per step as y_{n+1} = c*y_n - y_{n-1}, so every state is bit-equal to
+    the one-step loop's.  Overflow gives inf or nan without a warning, as
+    Python float arithmetic does.
     """
     if not (omega > 0.0):
         raise ValueError(f"frequency must be positive, got {omega!r}")
@@ -161,18 +168,27 @@ def ho_exact_solve(omega: float, h: float, n_steps: int, y0: float,
         raise ValueError(
             f"omega*h/2 = {omega * h / 2.0:g} must stay below pi"
         )
-    if n_steps < 2:
-        raise ValueError(f"n_steps must be >= 2, got {n_steps!r}")
     c = 2.0 * math.cos(omega * h)
-    states = np.empty(n_steps + 1)
-    states[0] = y0
-    states[1] = y1
-    prev, cur = states[:2].tolist()
-    view = memoryview(states)
-    for n in range(2, n_steps + 1):
-        prev, cur = cur, c * cur - prev
-        view[n] = cur
-    return Trajectory(step=h, states=states)
+    prev, cur = float(y0), float(y1)  # y_{n-1}, y_n
+    n, last = 1, -1
+    states = []
+    for k in indices:
+        if k <= last:
+            raise ValueError(
+                f"indices must be >= 0 and increase strictly, got {k!r}"
+            )
+        last = k
+        if k == 0:
+            states.append(prev)
+            continue
+        for _ in range((k - n) // 2):
+            prev = c * cur - prev
+            cur = c * prev - cur
+        if (k - n) % 2:
+            prev, cur = cur, c * cur - prev
+        n = k
+        states.append(cur)
+    return np.array(states, dtype=np.float64)
 
 
 class OrderSample(NamedTuple):

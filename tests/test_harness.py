@@ -38,6 +38,8 @@ from spectralfd.harness.report import (
     emit_svg,
 )
 
+from oracles import ho_indexed_states
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 GOLDEN_CONFIGS = {
@@ -509,9 +511,9 @@ class TestExperimentSemantics:
                                                     y0, v0):
         report = run_experiment(build_config("ho_exact", {
             "omega": omega, "h": h, "n_steps": n_steps, "y0": y0, "v0": v0}))
-        y = ode_schemes.ho_exact_solve(
+        y = ho_indexed_states(
             omega, h, n_steps, y0,
-            ode_schemes.ho_initial_from_velocity(omega, h, y0, v0)).states
+            ode_schemes.ho_initial_from_velocity(omega, h, y0, v0))
         # the invariant over the whole trajectory, on interior indices
         s = 2.0 * math.sin(omega * h)
         invariant = y[1:-1] ** 2 + ((y[2:] - y[:-2]) / s) ** 2
@@ -523,6 +525,36 @@ class TestExperimentSemantics:
             else:
                 assert type(drift) is float
                 assert drift == abs(float(invariant[n - 1] - invariant[0]))
+
+    def test_ho_rows_match_the_full_trajectory(self):
+        # the run keeps only the states its rows read; every row must be
+        # the one built from the oracle's whole trajectory, bit for bit
+        rng = np.random.default_rng(25)
+        sizes = [2, 3, 9, 10, 11] * 58 + [10001] * 12 + [10**5] * 3
+        for n_steps in sizes:
+            omega = 10.0 ** rng.uniform(-3.0, 3.0)
+            h = rng.uniform(1e-3, 0.999) * 2.0 * math.pi / omega
+            y0, v0 = (float(rng.choice([0.0, 1.0, x])) for x in
+                      rng.uniform(-1e3, 1e3, size=2))
+            report = run_experiment(build_config("ho_exact", {
+                "omega": omega, "h": h, "n_steps": n_steps, "y0": y0,
+                "v0": v0}))
+            y = ho_indexed_states(
+                omega, h, n_steps, y0,
+                ode_schemes.ho_initial_from_velocity(omega, h, y0, v0))
+            s = 2.0 * math.sin(omega * h)
+            invariant = y[1:-1] ** 2 + ((y[2:] - y[:-2]) / s) ** 2
+            expected = []
+            for n in sorted({n for n in (1, 10, 100, 1000, 10000, n_steps)
+                             if n <= n_steps}):
+                t = n * h
+                exact = (y0 * math.cos(omega * t)
+                         + v0 * math.sin(omega * t) / omega)
+                drift = (abs(float(invariant[n - 1] - invariant[0]))
+                         if n < n_steps else None)
+                expected.append((omega, h, n, float(y[n]), exact,
+                                 abs(float(y[n]) - exact), drift))
+            assert repr(report.rows) == repr(expected)
 
     def test_pde_stability_cells_are_python_scalars(self):
         # the CSV writes a bool as true/false but an np.bool_ as True/False
@@ -721,9 +753,12 @@ class TestCli:
     ])
     def test_oversized_run_is_a_config_error(self, argv, key, tmp_path,
                                              capsys):
+        # ho keeps only its reported states: its bound is on work
+        message = (f"must be at most {2**26 - 1}, a bound on work: each step "
+                   "is one update of the recurrence" if argv[0] == "ho" else
+                   f"the run would hold more than {2**26} points in one array")
         assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert (f"config error: {key}: the run would hold more than "
-                f"{2**26} points in one array") in capsys.readouterr().err
+        assert f"config error: {key}: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_oversized_signature_is_a_config_error(self, tmp_path, capsys,
@@ -1118,12 +1153,68 @@ class TestCli:
         (["signature", "--alpha", "0.5", "--propagator", "local_exp",
           "--t-min", "1e-300"],
          "t_min: the signature 1 - local_propagator(t_min) rounds to 0.0"),
+        # the march takes no step count; the run's rows need two steps
+        (["ho", "--n-steps", "1"], "n_steps: must be >= 2"),
     ])
     def test_bad_flag_is_a_config_error(self, argv, message, tmp_path,
                                         capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        # pi/dx squared past the double range: an OverflowError in
+        # default_spectral_params (exit 3), or numpy overflow warnings and
+        # diverged or nan rows (exit 0)
+        (["pde", "--ic-mode", "0", "--domain-length", "1e-155", "--methods",
+          "spectral_phys"], "domain_length: the largest wavenumber pi/dx, "
+                            "with dx = 1.5625e-157, squared leaves the "
+                            "double range"),
+        (["pde", "--ic-mode", "0", "--domain-length", "1e-155"],
+         "domain_length: the largest wavenumber pi/dx"),
+        (["pde", "--a", "0", "--ic-mode", "0", "--domain-length", "1e-155",
+          "--methods", "spectral_modal"],
+         "domain_length: the largest wavenumber pi/dx"),
+        (["pde", "--study", "stability", "--dx", "1e-160"],
+         "dx: the largest wavenumber pi/dx, with dx = 1e-160, squared "
+         "leaves the double range"),
+        (["pde", "--study", "stability", "--dx", "2e-154"],
+         "dx: the largest wavenumber pi/dx, with dx = 2e-154"),
+        # -lambda t^alpha was -inf at the later samples: ValueError (exit 3)
+        (["signature", "--alpha", "0.5", "--lambda", "1e300", "--t-min",
+          "1e-4", "--t-max", "1e300"],
+         "t_max: lambda * t_max**alpha leaves the double range"),
+        (["signature", "--alpha", "0.5", "--lambda", "1e300", "--t-min",
+          "1e300", "--t-max", "1e301"],
+         "t_max: lambda * t_max**alpha leaves the double range"),
+    ])
+    def test_out_of_range_grid_or_window_is_a_config_error(
+            self, argv, message, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pde", "--domain-length", "1e-155"],
+         "t_final: exp((b - a k^2) t) leaves the double range by t = "
+         "t_final, with k = 2 pi ic_mode / domain_length"),
+        (["pde", "--ic-mode", "0", "--domain-length", "1e-160"],
+         "domain_length: the grid spacing 1.5625e-162 squared leaves the "
+         "double range, and the diffusion term divides by it"),
+    ])
+    def test_wavenumber_check_keeps_other_rejections(self, argv, message,
+                                                     tmp_path, capsys):
+        # both grids' wavenumbers square past the double range, but each
+        # config was already rejected, and keeps its one message
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_finest_grid_inside_the_range_still_runs(self, tmp_path):
+        # pi/dx = 1.3e154 squares to 1.7e308, just inside the double range
+        argv = ["pde", "--study", "stability", "--dx", "2.4e-154"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
 
     def test_reused_parser_matches_fresh_parser(self, tmp_path, capsys):
         calls = [

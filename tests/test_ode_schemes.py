@@ -9,7 +9,7 @@ from spectralfd.ode_schemes import (
     SchemeFamily,
     Trajectory,
     decay_solve,
-    ho_exact_solve,
+    ho_exact_states,
     ho_initial_from_velocity,
     order_estimate,
 )
@@ -24,6 +24,11 @@ def scheme(family, rate=1.0, step=0.1):
 def one_step(scheme, x):
     """x_1 of a one-step march from x."""
     return decay_solve(scheme, x, 1).states[1]
+
+
+def ho_trajectory(omega, h, n_steps, y0, y1):
+    """The oscillator's states 0..n_steps."""
+    return ho_exact_states(omega, h, y0, y1, range(n_steps + 1))
 
 
 class TestDecayStep:
@@ -110,13 +115,6 @@ class TestTrajectory:
             assert traj.times.tobytes() == \
                 (np.arange(n_steps + 1) * step).tobytes()
 
-    def test_ho_exact_solve_times(self):
-        for h, n_steps in ((0.7, 2), (0.1, 1000), (1e-3, 10**5)):
-            traj = ho_exact_solve(1.0, h, n_steps, 1.0, math.cos(h))
-            assert traj.step == h
-            assert traj.times.tobytes() == \
-                (np.arange(n_steps + 1) * h).tobytes()
-
     def test_states_must_be_one_dimensional(self):
         with pytest.raises(ValueError):
             Trajectory(step=0.1, states=np.zeros((2, 3)))
@@ -124,32 +122,31 @@ class TestTrajectory:
 
 class TestHarmonicOscillator:
     def test_cosine_reproduction(self):
-        traj = ho_exact_solve(1.0, 0.7, 100, 1.0, math.cos(0.7))
+        y = ho_trajectory(1.0, 0.7, 100, 1.0, math.cos(0.7))
         expected = np.cos(0.7 * np.arange(101))
-        assert np.max(np.abs(traj.states - expected)) <= 1e-12
+        assert np.max(np.abs(y - expected)) <= 1e-12
 
     def test_long_run_roundoff_budget(self):
-        traj = ho_exact_solve(1.0, 0.7, 10**4, 1.0, math.cos(0.7))
+        y = ho_trajectory(1.0, 0.7, 10**4, 1.0, math.cos(0.7))
         expected = np.cos(0.7 * np.arange(10**4 + 1))
-        assert np.max(np.abs(traj.states - expected)) <= 1e-9
+        assert np.max(np.abs(y - expected)) <= 1e-9
 
     def test_quarter_period_cycle(self):
-        traj = ho_exact_solve(1.0, math.pi / 2.0, 40, 1.0,
-                              math.cos(math.pi / 2.0))
+        y = ho_trajectory(1.0, math.pi / 2.0, 40, 1.0,
+                          math.cos(math.pi / 2.0))
         pattern = np.array([1.0, 0.0, -1.0, 0.0])
         expected = pattern[np.arange(41) % 4]
-        assert np.max(np.abs(traj.states - expected)) <= 1e-12
+        assert np.max(np.abs(y - expected)) <= 1e-12
 
     def test_small_frequency_limit_is_linear(self):
         # 2 cos(omega h) -> 2: second difference vanishes, states go linear
-        traj = ho_exact_solve(1e-8, 1.0, 100, 1.0, 2.0)
+        y = ho_trajectory(1e-8, 1.0, 100, 1.0, 2.0)
         expected = 1.0 + np.arange(101)
-        assert np.max(np.abs(traj.states - expected) / expected) <= 1e-6
+        assert np.max(np.abs(y - expected) / expected) <= 1e-6
 
     def test_amplitude_invariant(self):
         omega, h = 1.0, 0.7
-        traj = ho_exact_solve(omega, h, 10**4, 1.0, math.cos(omega * h))
-        y = traj.states
+        y = ho_trajectory(omega, h, 10**4, 1.0, math.cos(omega * h))
         s = 2.0 * math.sin(omega * h)
         invariant = y[1:-1] ** 2 + ((y[2:] - y[:-2]) / s) ** 2
         assert np.max(np.abs(invariant - invariant[0])) <= 1e-9
@@ -164,7 +161,7 @@ class TestHarmonicOscillator:
 
     def test_step_domain_error(self):
         with pytest.raises(ValueError):
-            ho_exact_solve(1.0, 2.0 * math.pi, 10, 1.0, 1.0)
+            ho_exact_states(1.0, 2.0 * math.pi, 1.0, 1.0, range(11))
 
     @pytest.mark.parametrize("omega, h, message", [
         (0.0, 0.1, "frequency must be positive"),
@@ -172,11 +169,17 @@ class TestHarmonicOscillator:
     ])
     def test_nonpositive_frequency_or_step(self, omega, h, message):
         with pytest.raises(ValueError, match=message):
-            ho_exact_solve(omega, h, 10, 1.0, 1.0)
+            ho_exact_states(omega, h, 1.0, 1.0, range(11))
 
-    def test_needs_two_steps(self):
-        with pytest.raises(ValueError):
-            ho_exact_solve(1.0, 0.1, 1, 1.0, 1.0)
+    @pytest.mark.parametrize("indices", [[-1], [0, 2, 2], [5, 3]])
+    def test_indices_must_increase_from_zero(self, indices):
+        with pytest.raises(ValueError, match="increase strictly"):
+            ho_exact_states(1.0, 0.1, 1.0, 1.0, indices)
+
+    def test_start_and_no_indices(self):
+        assert ho_exact_states(1.0, 0.1, 3, 0.5, [0, 1]).tolist() == [3.0, 0.5]
+        empty = ho_exact_states(1.0, 0.1, 1.0, 1.0, [])
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
 
 def silent(march, *args):
@@ -218,22 +221,44 @@ class TestMarchesMatchScalarLoops:
         (1.0, 0.7), (1.0, 1e-3), (3.0, 2.0), (1e-8, 1.0),
         (1.0, math.nextafter(2.0 * math.pi, 0.0)),  # omega*h/2 just under pi
     ])
-    def test_ho_exact_solve(self, omega, h):
+    def test_ho_exact_states(self, omega, h):
         starts = [(1.0, math.cos(omega * h)), (-2.0, 0.5), (0.0, 0.0),
                   (0.0, 1e-300), (1e308, -1e308)]  # the last overflows
         for i, (y0, y1) in enumerate(starts):
             for n_steps in (2, 3, 1000) + ((10**5,) if i == 0 else ()):
                 expected = ho_indexed_states(omega, h, n_steps, y0, y1)
-                traj = silent(ho_exact_solve, omega, h, n_steps, y0, y1)
-                assert traj.states.tobytes() == expected.tobytes()
+                y = silent(ho_trajectory, omega, h, n_steps, y0, y1)
+                assert y.dtype == np.float64
+                assert y.tobytes() == expected.tobytes()
 
-    def test_ho_exact_solve_through_overflow(self):
-        # the memoryview stores inf, and the nan that inf - inf gives next,
-        # as the indexed loop does, for the whole 10**5 steps
+    def test_ho_exact_states_at_sparse_indices(self):
+        # seeded index sets: the start, the last index alone, every index,
+        # and random sorted subsets, whose gaps run odd and even
+        rng = np.random.default_rng(2025)
+        gaps = set()
+        for case in range(60):
+            omega = 10.0 ** rng.uniform(-2.0, 2.0)
+            h = rng.uniform(1e-3, 0.999) * 2.0 * math.pi / omega
+            y0, y1 = ((1e308, -1e308) if case % 6 == 0
+                      else tuple(rng.uniform(-10.0, 10.0, size=2)))
+            n_steps = int(rng.choice([2, 3, 7, 50, 1001, 4000]))
+            full = ho_indexed_states(omega, h, n_steps, y0, y1)
+            picked = np.flatnonzero(rng.random(n_steps + 1)
+                                    < rng.uniform(0.005, 0.5)).tolist()
+            for indices in ([0], [0, 1], [1], [n_steps], picked,
+                            list(range(n_steps + 1))):
+                y = silent(ho_exact_states, omega, h, y0, y1, indices)
+                assert y.tobytes() == full[indices].tobytes()
+            gaps.update(b - a for a, b in zip(picked, picked[1:]))
+        assert any(g % 2 for g in gaps) and any(g % 2 == 0 for g in gaps)
+
+    def test_ho_exact_states_through_overflow(self):
+        # the march reaches inf, and the nan that inf - inf gives next, as
+        # the indexed loop does, for the whole 10**5 steps
         expected = ho_indexed_states(1.0, 0.7, 10**5, 1e308, -1e308)
         assert np.isinf(expected[2]) and np.isnan(expected[-1])
-        traj = silent(ho_exact_solve, 1.0, 0.7, 10**5, 1e308, -1e308)
-        assert traj.states.tobytes() == expected.tobytes()
+        y = silent(ho_trajectory, 1.0, 0.7, 10**5, 1e308, -1e308)
+        assert y.tobytes() == expected.tobytes()
 
 
 class TestOrderEstimate:

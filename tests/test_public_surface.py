@@ -63,7 +63,7 @@ PUBLIC = {
     "spectralfd.ode_schemes.SchemeFamily",
     "spectralfd.ode_schemes.Trajectory",
     "spectralfd.ode_schemes.decay_solve",
-    "spectralfd.ode_schemes.ho_exact_solve",
+    "spectralfd.ode_schemes.ho_exact_states",
     "spectralfd.ode_schemes.ho_initial_from_velocity",
     "spectralfd.ode_schemes.order_estimate",
     "spectralfd.pde_solvers",
