@@ -15,8 +15,8 @@ This module knows the format only.  Which keys an experiment takes, and the
 checks that couple them, live in that experiment's record in
 ``experiments``.  ``parse_config`` reads a document and ``build_config``
 takes the strings of a key/value mapping (the CLI's flags); both convert
-and check with the same code.  ``parse_config`` reports every violation it
-finds, not just the first, each with its line number.  ``config_echo``
+and check with the same code.  ``parse_config`` reports every key it
+rejects, not just the first, each with its line number.  ``config_echo``
 renders a validated configuration back to canonical text that reparses to
 the same configuration.
 """
@@ -120,7 +120,9 @@ def _validate(name: str, raw: dict[str, str],
     violations: list[Violation] = []
 
     def bad(key: str, message: str) -> None:
-        violations.append(Violation(lines.get(key, 0), key, message))
+        # a key's first violation says why it is rejected
+        if all(v.key != key for v in violations):
+            violations.append(Violation(lines.get(key, 0), key, message))
 
     experiment = _EXPERIMENTS.get(name)
     if experiment is None:

@@ -29,12 +29,7 @@ from .. import __version__
 from .. import ode_schemes as ode
 from .. import pde_solvers as pde
 from .. import propagators
-from ..denominators import (
-    _EXP_OVERFLOW,
-    DegenerateDenominatorError,
-    psi2_nsfd,
-    psi2_spectral,
-)
+from ..denominators import psi2_spectral
 from ..propagators import MIN_FIT_SAMPLES
 from ..specfun import ALPHA_MIN, MLParams, mittag_leffler
 from .config import ExperimentConfig, Field, config_echo
@@ -50,6 +45,8 @@ DIVERGENCE_THRESHOLD = 1.0
 # above every shipped config, far below what would exhaust memory or run
 # for hours.
 MAX_ARRAY_POINTS = 2**26
+_TOO_LARGE = (f"the run would hold more than {MAX_ARRAY_POINTS} points in "
+              "one array")
 
 # The largest ho_exact amplitude hypot(y0, v0/omega): the report's amplitude
 # invariant squares values of this size, and must stay finite.
@@ -71,8 +68,11 @@ _SCHEMES = tuple(f.value for f in ode.SchemeFamily)
 _PDE_METHODS = {"euler": pde.EulerStd, "nsfd": pde.Nsfd,
                 "spectral_modal": pde.SpectralModal,
                 "spectral_phys": pde.SpectralPhys}
-# the pde methods that square the grid's wavenumbers whatever a is
-_SPECTRAL = frozenset({"spectral_modal", "spectral_phys"})
+# A step at which every explicit kind's phi is about dt and cannot fail, so
+# that its stencil weights there fail only through its space denominator
+_PSI2_PROBE_DT = 5e-324
+# the key a psi2 fault names; euler's psi2 is dx**2, a grid fault
+_PSI2_KEYS = {"nsfd": "a", "spectral_phys": "s_mode"}
 # signature_demo's propagators, by the name each has in ``propagators``
 _PROPAGATORS = {"local_exp": "local_propagator",
                 "nonlocal_ml": "nonlocal_propagator"}
@@ -123,11 +123,6 @@ def _divides(t_final: float, step: float) -> bool:
             and abs(ratio - round(ratio)) <= 1e-9)
 
 
-def _too_large(bad, key: str) -> None:
-    bad(key, f"the run would hold more than {MAX_ARRAY_POINTS} points "
-             "in one array")
-
-
 def _refined_too_large(base: float, levels: int) -> bool:
     # base * 2**(levels - 1) + 1 > MAX_ARRAY_POINTS, compared in log2 so
     # that a huge `levels` neither overflows a float nor builds a huge
@@ -139,7 +134,7 @@ def _refined_too_large(base: float, levels: int) -> bool:
 def _check_decay_order(v: dict, bad) -> None:
     # the finest level marches t_final / (h0 / 2**(levels - 1)) steps
     if _refined_too_large(v["t_final"] / v["h0"], v["levels"]):
-        _too_large(bad, "levels")
+        bad("levels", _TOO_LARGE)
         return
     # the run's steps h0 / 2**i; unlike 2**i, ldexp cannot overflow
     for i in range(v["levels"]):
@@ -165,88 +160,30 @@ def _check_ho_exact(v: dict, bad) -> None:
                   f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
 
 
-def _check_nsfd_steps(v: dict, bad) -> None:
-    # phi_nsfd forms exp(b dt), and its OverflowError would abort the rows
-    # of every method in the run, not just nsfd's
-    if "nsfd" not in v["methods"]:
-        return
-    for dt in v["dt"]:
-        if v["b"] * dt > _EXP_OVERFLOW:
-            bad("dt", f"nsfd needs b*dt <= {_EXP_OVERFLOW:g}, the range of "
-                      f"exp; b = {v['b']!r} and dt = {dt!r} give "
-                      f"{v['b'] * dt:g}")
-
-
-def _check_spectral_steps(v: dict, bad, setup) -> None:
-    # as _check_nsfd_steps, for spectral_phys's exp((b - a k^2) dt) with the
-    # k its run resolves; data that setup rejects aborts the run as before.
-    # (b - a k^2) dt <= b dt, so the k is needed only when b dt passes 709
-    if ("spectral_phys" not in v["methods"]
-            or v["b"] * max(v["dt"]) <= _EXP_OVERFLOW):
-        return
+def _formed(bad, key: str, what: str, form: Callable, *args):
+    """``form(*args)``; or None, once ``bad(key, f"{what}: {cause}")`` has
+    said why it cannot be formed: the ValueError or ArithmeticError it
+    raises (numpy's too, under ``np.errstate(all="raise")``), or a float
+    or array it returns, alone or in a tuple, that is not all finite."""
     try:
-        k = _spectral_mode(v, *setup(v))[0]
-    except (ValueError, OverflowError):
-        return
-    rate = v["b"] - v["a"] * k * k
-    for dt in v["dt"]:
-        if rate * dt > _EXP_OVERFLOW:
-            bad("dt", f"spectral_phys needs (b - a k^2)*dt <= "
-                      f"{_EXP_OVERFLOW:g}, the range of exp; k = {k!r} and "
-                      f"dt = {dt!r} give {rate * dt:g}")
-
-
-def _psi2_fault(psi2: Callable, *args) -> Optional[str]:
-    """Why the library's ``psi2(*args)`` cannot weight a run: its
-    OverflowError, or a value that is not finite.  None for a usable value,
-    and for a sine zero, which still aborts the run (exit 3)."""
-    try:
-        value = psi2(*args)
-    except OverflowError as exc:
-        return str(exc)
-    except DegenerateDenominatorError:
-        return None
-    return None if math.isfinite(value) else f"it is {value!r}"
-
-
-def _check_space_steps(v: dict, dx: float, key: str, bad) -> None:
-    # the space denominators that the diffusion weight a/psi2 divides by:
-    # dx**2, and each method's psi2 as its run forms it; with a = 0 no
-    # weight forms one.  The default s_mode gives the ratio -(pi/L)^2, and
-    # the small sinh argument pi/(2 m_points)
-    a, b, methods = v["a"], v["b"], v["methods"]
-    if a == 0.0:
-        return
-    if not 0.0 < dx * dx < math.inf:
-        bad(key, f"the grid spacing {dx!r} squared leaves the double range, "
-                 "and the diffusion term divides by it")
-        return
-    if "nsfd" in methods and (fault := _psi2_fault(psi2_nsfd, dx, b / a)):
-        bad("a", f"nsfd's psi2_nsfd(dx, b/a) fails with dx = {dx!r} and "
-                 f"b/a = {b / a!r}: {fault}")
-    if "spectral_phys" in methods and "s_mode" in v and (
-            fault := _psi2_fault(psi2_spectral, dx, a, b, v["s_mode"])):
-        bad("s_mode", f"spectral_phys's psi2_spectral(dx, a, b, s_mode) "
-                      f"fails with dx = {dx!r}: {fault}")
+        value = form(*args)
+    except (ValueError, ArithmeticError) as exc:
+        # the message; an OverflowError of float ** carries (errno, message)
+        cause = exc.args[-1] if exc.args else type(exc).__name__
+    else:
+        parts = value if isinstance(value, tuple) else (value,)
+        if all(np.isfinite(part).all() for part in parts
+               if isinstance(part, (float, np.ndarray))):
+            return value
+        cause = f"it is {value!r}"
+    bad(key, f"{what}: {cause}")
+    return None
 
 
 def _check_pde_compare(v: dict, bad) -> None:
-    _check_nsfd_steps(v, bad)
-    dx = v["domain_length"] / v["m_points"]
-    if not dx > 0.0:
-        bad("domain_length", "the grid spacing domain_length / m_points "
-                             "underflows to 0")
-    else:
-        _check_space_steps(v, dx, "domain_length", bad)
     for dt in v["dt"]:
         if not _divides(v["t_final"], dt):
             bad("dt", f"entry {dt!r} does not divide t_final")
-    # frames: (t_final / min(dt) + 1) x m_points
-    frames = v["t_final"] / min(v["dt"]) + 1.0
-    if v["m_points"] > MAX_ARRAY_POINTS / frames:
-        _too_large(bad, "dt")
-    else:
-        _check_spectral_steps(v, bad, _compare_problem)
     # sin(2 pi ic_mode x_m / domain_length) samples sin(pi * integer)
     # when 2 ic_mode is a multiple of m_points: roundoff, not a mode
     if v["ic_mode"] > 0 and 2 * v["ic_mode"] % v["m_points"] == 0:
@@ -261,43 +198,12 @@ def _check_pde_compare(v: dict, bad) -> None:
     if not 0.0 < amplitude < math.inf:
         bad("t_final", "exp((b - a k^2) t) leaves the double range by "
                        "t = t_final, with k = 2 pi ic_mode / domain_length")
-
-
-def _check_pde_stability(v: dict, bad) -> None:
-    _check_nsfd_steps(v, bad)
-    _check_space_steps(v, v["dx"], "dx", bad)
-    if v["m_points"] > MAX_ARRAY_POINTS:
-        _too_large(bad, "m_points")
+    # frames: (t_final / min(dt) + 1) x m_points
+    frames = v["t_final"] / min(v["dt"]) + 1.0
+    if v["m_points"] > MAX_ARRAY_POINTS / frames:
+        bad("dt", _TOO_LARGE)
     else:
-        _check_spectral_steps(v, bad, _stability_problem)
-
-
-def _with_wavenumber_check(check: Callable, key: str,
-                           spacing: Callable[[dict], float]) -> Callable:
-    """``check``, then a rejection (on ``key``) of a grid whose largest
-    wavenumber pi/dx squares past the double range, for a run that squares
-    its grid's wavenumbers: one with diffusion (a > 0), or with a spectral
-    method, whatever a is.  The rejection is reported only when ``check``
-    reported nothing, so every config that ``check`` rejects keeps its
-    messages."""
-    def checked(v: dict, bad) -> None:
-        found = []
-
-        def note(name: str, message: str) -> None:
-            found.append(name)
-            bad(name, message)
-
-        check(v, note)
-        if found or (v["a"] == 0.0 and not _SPECTRAL.intersection(
-                v["methods"])):
-            return
-        dx = spacing(v)
-        k_max = math.pi / dx
-        if not k_max * k_max < math.inf:
-            bad(key, f"the largest wavenumber pi/dx, with dx = {dx!r}, "
-                     "squared leaves the double range, and the run squares "
-                     "the grid's wavenumbers")
-    return checked
+        _plan(v, bad)
 
 
 def _check_signature_demo(v: dict, bad) -> None:
@@ -329,12 +235,14 @@ def _check_laplace_bvp(v: dict, bad) -> None:
     dx = 1.0 / (v["m0"] - 1)  # the coarsest level's, where psi2 is largest
     if v["s"] <= v["b"]:
         bad("s", "must exceed b (decaying transform regime)")
-    elif fault := _psi2_fault(psi2_spectral, dx, v["a"], v["b"], v["s"]):
-        bad("s", f"psi2_spectral(dx, a, b, s) fails with dx = {dx!r} and "
-                 f"(b - s)/a = {(v['b'] - v['s']) / v['a']!r}: {fault}")
+    else:
+        _formed(bad, "s", f"psi2_spectral(dx, a, b, s) fails with dx = "
+                          f"{dx!r} and (b - s)/a = "
+                          f"{(v['b'] - v['s']) / v['a']!r}",
+                psi2_spectral, dx, v["a"], v["b"], v["s"])
     # the finest grid has (m0 - 1) * 2**(levels - 1) + 1 points
     if _refined_too_large(v["m0"] - 1, v["levels"]):
-        _too_large(bad, "levels")
+        bad("levels", _TOO_LARGE)
 
 
 # --- runners: validated values -> report rows --------------------------------
@@ -379,51 +287,92 @@ def _run_ho_exact(p: dict) -> list:
     return rows
 
 
-def _compare_problem(p: dict) -> tuple:
-    # initial data sin(2 pi ic_mode x / domain_length), or ones for mode 0
-    m, length = p["m_points"], p["domain_length"]
-    grid = pde.Grid1D(x0=0.0, dx=length / m, m_points=m,
-                      boundary=pde.Periodic())
-    k_phys = 2.0 * math.pi * p["ic_mode"] / length
-    ic = np.sin(k_phys * grid.points) if p["ic_mode"] > 0 else np.ones(m)
-    return pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic), grid
-
-
-def _stability_problem(p: dict) -> tuple:
+def _build(p: dict) -> tuple:
+    """The problem, grid and solver kinds (by method, each a function of
+    dt) of the pde run with validated values ``p``."""
     m = p["m_points"]
-    grid = pde.Grid1D(x0=0.0, dx=p["dx"], m_points=m, boundary=pde.Periodic())
-    return pde.PDEProblem(a=p["a"], b=p["b"],
-                          initial_condition=np.zeros(m)), grid
+    dx = p["dx"] if "dx" in p else p["domain_length"] / m
+    grid = pde.Grid1D(x0=0.0, dx=dx, m_points=m, boundary=pde.Periodic())
+    if "dx" in p:  # stability: its data is never marched
+        ic = np.zeros(m)
+    else:  # sin(2 pi ic_mode x / domain_length), or ones for mode 0
+        k_phys = 2.0 * math.pi * p["ic_mode"] / p["domain_length"]
+        ic = np.sin(k_phys * grid.points) if p["ic_mode"] > 0 else np.ones(m)
+    problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic)
+    kinds = {name: _PDE_METHODS[name] for name in p["methods"]}
+    if "spectral_phys" in kinds:  # k_mode and s_mode where given
+        k, s = pde.default_spectral_params(problem, grid)
+        kinds["spectral_phys"] = functools.partial(
+            pde.SpectralPhys, k=p.get("k_mode", k), s=p.get("s_mode", s))
+    return problem, grid, kinds
 
 
-def _spectral_mode(p: dict, problem, grid) -> tuple[float, float]:
-    """spectral_phys's (k, s): k_mode and s_mode where given, otherwise
-    ``default_spectral_params``'s."""
-    k, s = pde.default_spectral_params(problem, grid)
-    return p.get("k_mode", k), p.get("s_mode", s)
+def _plan(p: dict, bad: Callable[[str, str], None]) -> None:
+    """Validation's dry run of a pde run: it builds the run with
+    ``_build``, as the runners do, and forms what the run forms from it
+    that can fail, under ``np.errstate(all="raise")``, underflow aside.
+    These are the grid and its initial data, the wavenumbers and growth
+    rates b - a k^2 where the run forms them, spectral_phys's (k, s), and
+    dx**2 if an explicit method runs (a fault names the spacing key,
+    domain_length or dx, and ends the dry run); each explicit method's
+    psi2 (a fault names a for nsfd, s_mode for spectral_phys); and each
+    (method, dt)'s stencil weights (c0, c1) and, for stability, its
+    amplification factor at the grid's smallest and largest wavenumbers,
+    which bound it at the others (a fault names dt).
+    """
+    stability = "dx" in p
+    spacing = "dx" if stability else "domain_length"
+    dx = p["dx"] if stability else p["domain_length"] / p["m_points"]
+    methods = p["methods"]
 
+    def setup() -> tuple:
+        problem, grid, kinds = _build(p)
+        k_ends = None
+        if stability or "spectral_modal" in methods:
+            # 0 and the largest wavenumber, pi/dx for an even m_points
+            k_ends = abs(pde.grid_wavenumbers(grid)[[0, grid.m_points // 2]])
+            if "spectral_modal" in methods:  # as evolve_modal forms them
+                problem.b - problem.a * k_ends**2
+        if set(methods) - {"spectral_modal"}:
+            pde._weights(pde.EulerStd(_PSI2_PROBE_DT), problem, grid)
+        return problem, grid, kinds, k_ends
 
-def _solver_kind(name: str, problem, grid, p: dict) -> Callable:
-    """The solver kind of the method called ``name``, as a function of dt;
-    spectral_phys's (k, s) is resolved here, once per run."""
-    if name != "spectral_phys":
-        return _PDE_METHODS[name]
-    k, s = _spectral_mode(p, problem, grid)
-    return functools.partial(pde.SpectralPhys, k=k, s=s)
+    with np.errstate(all="raise", under="ignore"):
+        plan = _formed(bad, spacing, f"the grid with dx = {dx!r}, or a "
+                       "square of dx or of a wavenumber up to pi/dx that the "
+                       "run forms, fails", setup)
+        if plan is None:
+            return
+        problem, grid, kinds, k_ends = plan
+        for method in methods:
+            if method in _PSI2_KEYS and _formed(
+                    bad, _PSI2_KEYS[method], f"{method}'s diffusion weight "
+                    f"a/psi2 with dx = {dx!r} fails", pde._weights,
+                    kinds[method](_PSI2_PROBE_DT), problem, grid) is None:
+                continue  # its weights would fail with it at every dt
+            for dt in p["dt"]:
+                kind = kinds[method](dt)
+                if method != "spectral_modal":
+                    _formed(bad, "dt", f"{method}'s stencil weights (c0, c1) "
+                            f"at dt = {dt!r} fail", pde._weights, kind,
+                            problem, grid)
+                if stability:
+                    _formed(bad, "dt", f"{method}'s amplification factor at "
+                            f"dt = {dt!r} fails", pde.amplification_factor,
+                            kind, problem, grid, k_ends)
 
 
 def _run_pde_compare(p: dict) -> list:
-    problem, grid = _compare_problem(p)
+    problem, grid, kinds = _build(p)
     m, ic = grid.m_points, problem.initial_condition
     k_phys = 2.0 * math.pi * p["ic_mode"] / p["domain_length"]
     growth = problem.b - problem.a * k_phys**2
     u0_max = float(np.max(np.abs(ic)))
     rows = []
     for method in p["methods"]:
-        kind_of = _solver_kind(method, problem, grid, p)
         for dt in p["dt"]:
             n_steps = round(p["t_final"] / dt)
-            traj = pde.evolve(problem, grid, kind_of(dt), n_steps)
+            traj = pde.evolve(problem, grid, kinds[method](dt), n_steps)
             t_end = float(traj.times[-1])
             exact = math.exp(growth * t_end) * ic
             # no mode, the initial data's roundoff included, grows faster
@@ -443,13 +392,12 @@ def _run_pde_compare(p: dict) -> list:
 
 
 def _run_pde_stability(p: dict) -> list:
-    problem, grid = _stability_problem(p)
+    problem, grid, kinds = _build(p)
     wavenumbers = sorted({float(k) for k in np.abs(pde.grid_wavenumbers(grid))})
     rows = []
     for method in p["methods"]:
-        kind_of = _solver_kind(method, problem, grid, p)
         for dt in p["dt"]:
-            g = pde.amplification_factor(kind_of(dt), problem, grid,
+            g = pde.amplification_factor(kinds[method](dt), problem, grid,
                                          np.array(wavenumbers))
             stable = np.abs(g) <= 1.0 + 1e-12
             # tolist() gives the report Python floats and bools
@@ -573,10 +521,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                  "diverged"),
         plot=PlotSpec(x="dt", y="max_nodal_error", logx=True, logy=True,
                       group_by=("method",)),
-        run=_run_pde_compare,
-        check=_with_wavenumber_check(
-            _check_pde_compare, "domain_length",
-            lambda v: v["domain_length"] / v["m_points"]),
+        run=_run_pde_compare, check=_check_pde_compare,
         cli_defaults={"a": "1.0", "b": "0.0", "ic_mode": "1",
                       "t_final": "2.0", "dt": "0.01,0.1,1.0"},
     ),
@@ -585,14 +530,14 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         fields=(Field("a", "float", required=True, check=_nonnegative),
                 Field("b", "float", required=True),
                 Field("dx", "float", required=True, check=_positive),
-                Field("m_points", "int", default=32, check=_at_least(3)),
+                Field("m_points", "int", default=32,
+                      check=lambda v: _TOO_LARGE if v > MAX_ARRAY_POINTS
+                      else _at_least(3)(v)),
                 Field("dt", "float_list", required=True, check=_positive_list),
                 *_PDE_SOLVER_FIELDS),
         columns=("method", "k", "dt", "amplification", "stable_flag"),
         plot=PlotSpec(x="k", y="amplification", group_by=("method", "dt")),
-        run=_run_pde_stability,
-        check=_with_wavenumber_check(_check_pde_stability, "dx",
-                                     lambda v: v["dx"]),
+        run=_run_pde_stability, check=_plan,
         # the CLI's m_points of 64 overrides the field's 32
         cli_defaults={"a": "1.0", "b": "0.0", "dx": "0.1", "m_points": "64",
                       "dt": "0.01,0.1,1.0"},

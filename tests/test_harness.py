@@ -665,17 +665,16 @@ class TestCli:
         assert not (tmp_path / "ml_identities.csv").exists()
 
     def test_runtime_abort_exit_code(self, tmp_path, capsys):
-        # nsfd's psi2 needs sqrt(b/a)*dx/2 < pi; here it is sqrt(1000)/4,
-        # which passes config validation but aborts inside the solver
-        config_file = tmp_path / "abort.cfg"
-        config_file.write_text(
-            "experiment = pde_compare\na = 1.0\nb = 1000.0\nic_mode = 1\n"
-            "m_points = 8\ndomain_length = 4.0\nt_final = 0.5\ndt = 0.5\n"
-            "methods = nsfd\n"
-        )
-        assert main(["run", str(config_file), "--out", str(tmp_path)]) == 3
-        assert ("runtime abort in pde_compare: DegenerateDenominatorError: "
+        # exp(-lambda t^alpha) is 0 past a tiny t, so every later signature
+        # is exactly 1 and the power-law fit is flat: a numerical failure
+        # of valid input, which names its cause
+        argv = ["signature", "--alpha", "0.5", "--lambda", "1e300",
+                "--t-min", "1e-4", "--t-max", "1e300", "--propagator",
+                "local_exp"]
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert ("runtime abort in signature_demo: FitRangeError: "
                 in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_diffusionless_spectral_phys(self, tmp_path):
         assert main(["pde", "--a", "0", "--b", "0.5",
@@ -869,9 +868,9 @@ class TestCli:
         for methods in ("nsfd", "euler,spectral_modal,nsfd"):
             with pytest.raises(ConfigError) as err:
                 build_config(name, {**raw, "methods": methods})
-            assert str(err.value) == (f"dt: nsfd needs b*dt <= 709, the "
-                                      f"range of exp; b = {b} and dt = 1.0 "
-                                      f"give 709")
+            assert str(err.value) == ("dt: nsfd's stencil weights (c0, c1) "
+                                      "at dt = 1.0 fail: exp(709) exceeds "
+                                      "the double range")
 
     def test_nsfd_overflowing_run_is_rejected_whole(self, tmp_path, capsys):
         argv = ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10",
@@ -879,7 +878,7 @@ class TestCli:
                 "spectral_modal,euler,nsfd", "--out", str(tmp_path)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "b = 1000.0 and dt = 0.78 give 780" in err
+        assert "at dt = 0.78 fail: exp(780) exceeds the double range" in err
         assert "dt = 0.39" not in err  # b dt = 390 is in range
         assert not any(tmp_path.iterdir())
 
@@ -921,23 +920,24 @@ class TestCli:
         build_config(name, {**raw, "methods": "euler,spectral_modal"})
         with pytest.raises(ConfigError) as err:
             build_config(name, {**raw, "methods": "euler,spectral_phys"})
-        assert str(err.value) == ("dt: spectral_phys needs (b - a k^2)*dt "
-                                  "<= 709, the range of exp; k = 0.0 and "
-                                  "dt = 1.0 give 709")
+        assert str(err.value) == ("dt: spectral_phys's stencil weights "
+                                  "(c0, c1) at dt = 1.0 fail: exp(709) "
+                                  "exceeds the double range")
 
-    @pytest.mark.parametrize("argv", [
-        ["pde", "--study", "stability", "--b", "1000", "--dt", "1",
-         "--methods", "spectral_phys"],
-        ["pde", "--a", "1", "--b", "1000", "--ic-mode", "10", "--t-final",
-         "0.78", "--dt", "0.78", "--methods", "spectral_phys", "--k-mode",
-         "0"],
+    @pytest.mark.parametrize("argv, fault", [
+        (["pde", "--study", "stability", "--b", "1000", "--dt", "1",
+          "--methods", "spectral_phys"], "dt = 1.0 fail: exp(1000)"),
+        (["pde", "--a", "1", "--b", "1000", "--ic-mode", "10", "--t-final",
+          "0.78", "--dt", "0.78", "--methods", "spectral_phys", "--k-mode",
+          "0"], "dt = 0.78 fail: exp(780)"),
     ])
-    def test_spectral_overflowing_run_is_rejected_whole(self, argv,
+    def test_spectral_overflowing_run_is_rejected_whole(self, argv, fault,
                                                         tmp_path, capsys):
+        # k = 0, from stability's zero data or given: (b - a k^2) dt = b dt
         assert main(argv + ["--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: dt: spectral_phys needs")
-        assert "k = 0.0" in err
+        assert capsys.readouterr().err == (
+            "config error: dt: spectral_phys's stencil weights (c0, c1) at "
+            f"{fault} exceeds the double range\n")
         assert not any(tmp_path.iterdir())
 
     def test_spectral_check_resolves_the_default_mode(self, tmp_path):
@@ -951,27 +951,28 @@ class TestCli:
             assert main(argv) == 0
         assert (tmp_path / "pde_compare.csv").exists()
 
-    def test_spectral_check_skips_a_grid_it_cannot_build(self, tmp_path,
+    def test_grid_the_run_cannot_build_is_a_config_error(self, tmp_path,
                                                          capsys):
-        # b dt = 1000 asks for the default k, but dx = 5e-324 / 64 underflows
-        # to 0: the check leaves the config to the others, with no traceback
+        # dx = 5e-324 / 64 underflows to 0, so Grid1D rejects the grid and
+        # the plan ends there, beside the exact amplitude's rejection
         argv = ["pde", "--b", "1000", "--dt", "1", "--t-final", "1",
                 "--domain-length", "5e-324", "--methods", "spectral_phys",
                 "--out", str(tmp_path)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "config error: domain_length: the grid spacing domain_length / "
-            "m_points underflows to 0\n"
             "config error: t_final: exp((b - a k^2) t) leaves the double "
-            "range by t = t_final, with k = 2 pi ic_mode / domain_length\n")
+            "range by t = t_final, with k = 2 pi ic_mode / domain_length\n"
+            "config error: domain_length: the grid with dx = 0.0, or a square "
+            "of dx or of a wavenumber up to pi/dx that the run forms, fails: "
+            "dx must be positive, got 0.0\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["pde", "--a", "1e-9", "--b", "-1", "--methods", "nsfd"],
-         "a: nsfd's psi2_nsfd(dx, b/a) fails with dx = 0.09817477042468103 "
-         "and b/a = -999999999.9999999"),
+         "a: nsfd's diffusion weight a/psi2 with dx = 0.09817477042468103 "
+         "fails"),
         (["pde", "--methods", "spectral_phys", "--s-mode", "1e9"],
-         "s_mode: spectral_phys's psi2_spectral(dx, a, b, s_mode) fails "
-         "with dx = 0.09817477042468103"),
+         "s_mode: spectral_phys's diffusion weight a/psi2 with "
+         "dx = 0.09817477042468103 fails"),
     ])
     def test_psi2_overflow_names_sinh(self, argv, message, tmp_path, capsys):
         # b/a = -1e9: sinh(sqrt(1e9) dx / 2) leaves the double range, which
@@ -1122,8 +1123,9 @@ class TestCli:
          "h: 2 sin(omega*h) underflows to 0"),
         # dx = 0 made Grid1D raise ValueError (exit 3)
         (["pde", "--ic-mode", "0", "--domain-length", "5e-324"],
-         "domain_length: the grid spacing domain_length / m_points "
-         "underflows to 0"),
+         "domain_length: the grid with dx = 0.0, or a square of dx or of a "
+         "wavenumber up to pi/dx that the run forms, fails: dx must be "
+         "positive, got 0.0"),
         (["signature", "--alpha", "0.7", "--t-min", "0.1", "--t-max", "0.01"],
          "t_max: must exceed t_min"),
         (["decay", "--schemes", "bogus"], "schemes: unknown entries ['bogus']"),
@@ -1139,12 +1141,22 @@ class TestCli:
         # dx**2 = 0 was a ZeroDivisionError, and dx**2 = inf an
         # OverflowError that named no cause (exit 3)
         (["pde", "--ic-mode", "0", "--domain-length", "1e-160"],
-         "domain_length: the grid spacing 1.5625e-162 squared leaves the "
-         "double range, and the diffusion term divides by it"),
+         "domain_length: the grid with dx = 1.5625e-162, or a square of dx "
+         "or of a wavenumber up to pi/dx that the run forms, fails: "
+         "overflow encountered in square"),
         (["pde", "--study", "stability", "--dx", "1e-300"],
-         "dx: the grid spacing 1e-300 squared leaves the double range"),
+         "dx: the grid with dx = 1e-300, or a square"),
         (["pde", "--study", "stability", "--dx", "1e300", "--a", "0.78"],
-         "dx: the grid spacing 1e+300 squared leaves the double range"),
+         "dx: the grid with dx = 1e+300, or a square of dx or of a "
+         "wavenumber up to pi/dx that the run forms, fails: Numerical "
+         "result out of range"),
+        # nsfd's psi2 needs sqrt(b/a)*dx/2 < pi; here it is sqrt(1000)/4,
+        # which aborted inside the solver (exit 3)
+        (["pde", "--a", "1.0", "--b", "1000.0", "--ic-mode", "1",
+          "--m-points", "8", "--domain-length", "4.0", "--t-final", "0.5",
+          "--dt", "0.5", "--methods", "nsfd"],
+         "a: nsfd's diffusion weight a/psi2 with dx = 0.5 fails: "
+         "sqrt(r)*dx/2 = 7.90569 reaches the first sine zero (pi)"),
         # 1 - propagator(t_min) rounded to 0: FitDegenerateError (exit 3)
         (["signature", "--alpha", "1", "--t-min", "1e-300", "--t-max",
           "0.001"],
@@ -1168,19 +1180,23 @@ class TestCli:
         # default_spectral_params (exit 3), or numpy overflow warnings and
         # diverged or nan rows (exit 0)
         (["pde", "--ic-mode", "0", "--domain-length", "1e-155", "--methods",
-          "spectral_phys"], "domain_length: the largest wavenumber pi/dx, "
-                            "with dx = 1.5625e-157, squared leaves the "
-                            "double range"),
+          "spectral_phys"], "domain_length: the grid with dx = 1.5625e-157, "
+                            "or a square of dx or of a wavenumber up to "
+                            "pi/dx that the run forms, fails: Numerical "
+                            "result out of range"),
         (["pde", "--ic-mode", "0", "--domain-length", "1e-155"],
-         "domain_length: the largest wavenumber pi/dx"),
+         "domain_length: the grid with dx = 1.5625e-157, or a square of dx "
+         "or of a wavenumber up to pi/dx that the run forms, fails: "
+         "overflow encountered in square"),
         (["pde", "--a", "0", "--ic-mode", "0", "--domain-length", "1e-155",
           "--methods", "spectral_modal"],
-         "domain_length: the largest wavenumber pi/dx"),
+         "domain_length: the grid with dx = 1.5625e-157, or a square"),
         (["pde", "--study", "stability", "--dx", "1e-160"],
-         "dx: the largest wavenumber pi/dx, with dx = 1e-160, squared "
-         "leaves the double range"),
+         "dx: the grid with dx = 1e-160, or a square of dx or of a "
+         "wavenumber up to pi/dx that the run forms, fails: overflow "
+         "encountered in square"),
         (["pde", "--study", "stability", "--dx", "2e-154"],
-         "dx: the largest wavenumber pi/dx, with dx = 2e-154"),
+         "dx: the grid with dx = 2e-154, or a square"),
         # -lambda t^alpha was -inf at the later samples: ValueError (exit 3)
         (["signature", "--alpha", "0.5", "--lambda", "1e300", "--t-min",
           "1e-4", "--t-max", "1e300"],
@@ -1195,20 +1211,65 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv, message", [
-        (["pde", "--domain-length", "1e-155"],
-         "t_final: exp((b - a k^2) t) leaves the double range by t = "
-         "t_final, with k = 2 pi ic_mode / domain_length"),
+    @pytest.mark.parametrize("argv, keys", [
+        # the exact amplitude leaves the double range, and so does pi/dx
+        # squared
+        (["pde", "--domain-length", "1e-155"], ["t_final", "domain_length"]),
+        # the grid fault ends the plan before the weights, which would fail
         (["pde", "--ic-mode", "0", "--domain-length", "1e-160"],
-         "domain_length: the grid spacing 1.5625e-162 squared leaves the "
-         "double range, and the diffusion term divides by it"),
+         ["domain_length"]),
+        # exp(b t) leaves the range; euler's weight c0 = 1 + b dt is inf at
+        # dt = 2, and nsfd's psi2 reaches the sine zero
+        (["pde", "--b", "1e308", "--dt", "1,2", "--t-final", "2",
+          "--methods", "euler,nsfd"], ["t_final", "dt", "a"]),
     ])
-    def test_wavenumber_check_keeps_other_rejections(self, argv, message,
-                                                     tmp_path, capsys):
-        # both grids' wavenumbers square past the double range, but each
-        # config was already rejected, and keeps its one message
+    def test_each_rejected_key_is_reported_once(self, argv, keys, tmp_path,
+                                                capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == keys
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        # nsfd's weights were (-inf, inf) at dt = 1: a RuntimeWarning and
+        # nan amplification rows (exit 0)
+        (["pde", "--study", "stability", "--a", "1000", "--b", "709",
+          "--dx", "0.1", "--m-points", "8"],
+         "dt: nsfd's stencil weights (c0, c1) at dt = 1.0 fail: it is "
+         "(-inf, inf)"),
+        # nsfd's psi2 reached its sine zero, and the abort (exit 3) lost
+        # euler's rows with it
+        (["pde", "--a", "1e-3", "--b", "100", "--methods", "euler,nsfd",
+          "--dt", "0.001", "--t-final", "0.01"],
+         "a: nsfd's diffusion weight a/psi2 with dx = 0.09817477042468103 "
+         "fails: sqrt(r)*dx/2 = 15.5228 reaches the first sine zero (pi)"),
+        # the modal symbol exp((b - a k^2) dt) overflowed with a warning,
+        # into inf rows (exit 0)
+        (["pde", "--study", "stability", "--b", "1000", "--dt", "1",
+          "--methods", "spectral_modal"],
+         "dt: spectral_modal's amplification factor at dt = 1.0 fails: "
+         "overflow encountered in exp"),
+        (["pde", "--study", "stability", "--a", "1e10", "--dx", "1e-150",
+          "--methods", "spectral_modal"],
+         "dx: the grid with dx = 1e-150, or a square of dx or of a "
+         "wavenumber up to pi/dx that the run forms, fails: overflow "
+         "encountered in multiply"),
+    ])
+    def test_plan_fault_is_a_config_error(self, argv, message, tmp_path,
+                                          capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_explicit_run_squares_no_wavenumber(self, tmp_path):
+        # pi/dx squares past the double range, but euler and nsfd form only
+        # dx**2 = 4e-308 and finite weights from it
+        argv = ["pde", "--study", "stability", "--dx", "2e-154", "--methods",
+                "euler,nsfd"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = csv_rows(tmp_path / "pde_stability.csv")
+        assert all(math.isfinite(float(row["amplification"])) for row in rows)
 
     @pytest.mark.filterwarnings("error")
     def test_finest_grid_inside_the_range_still_runs(self, tmp_path):
