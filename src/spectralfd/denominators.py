@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .propagators import _check_arguments
 from .specfun import MLParams, mittag_leffler
 
 __all__ = [
@@ -83,10 +84,13 @@ def psi2_nsfd(dx: float, r: float) -> float:
     kappa = u for r < 0, while the result is a normal double.  The test
     suite sweeps it against an mpmath oracle on both sides of the Taylor
     switch at |r|*dx**2 = 1e-6.  For r < 0 with u past the range of sinh
-    (about 710.5), ``OverflowError`` is raised, naming sinh and u.
+    (about 710.5, r = -inf included), ``OverflowError`` is raised, naming
+    sinh and u; a nan ratio raises ``ValueError``.
     """
     if not (dx > 0.0):
         raise ValueError(f"space step must be positive, got {dx!r}")
+    if math.isnan(r):
+        raise ValueError(f"ratio r must be a number, got {r!r}")
     w = r * dx * dx
     if abs(w) < _SERIES_THRESHOLD:
         return dx * dx * (1.0 - w / 12.0 + w * w / 360.0)
@@ -99,8 +103,8 @@ def psi2_nsfd(dx: float, r: float) -> float:
         s = math.sin(u)
         return 4.0 * s * s / r
     u = math.sqrt(-r) * dx / 2.0
-    try:
-        s = math.sinh(u)
+    try:  # sinh(inf) is inf, not an OverflowError; sinh(711) overflows
+        s = math.sinh(min(u, 711.0))
     except OverflowError:
         raise OverflowError(f"sinh({u:g}) exceeds the double range") from None
     return 4.0 * s * s / (-r)
@@ -146,11 +150,8 @@ def mu_exact_step(kind: ExactStepKind, rate: float, order: float,
     relative at the doubles passed in, unless subnormal.  MITTAG_LEFFLER
     still forms 1 - E(z1)/E(z0), which cancels for small steps.
     """
-    if not (rate > 0.0):
-        raise ValueError(f"rate must be positive, got {rate!r}")
-    if not (0.0 < order <= 1.0):
-        raise ValueError(f"order must lie in (0, 1], got {order!r}")
-    if not (0.0 <= t_n < t_np1):
+    _check_arguments(rate, order, t_n)
+    if not (t_n < t_np1):
         raise ValueError(
             f"need 0 <= t_n < t_np1, got t_n={t_n!r}, t_np1={t_np1!r}"
         )

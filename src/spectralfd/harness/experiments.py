@@ -29,7 +29,6 @@ from .. import __version__
 from .. import ode_schemes as ode
 from .. import pde_solvers as pde
 from .. import propagators
-from ..denominators import psi2_spectral
 from ..propagators import MIN_FIT_SAMPLES
 from ..specfun import ALPHA_MIN, MLParams, mittag_leffler
 from .config import ExperimentConfig, Field, config_echo
@@ -117,6 +116,27 @@ def _in_names(allowed) -> Callable[[object], Optional[str]]:
 # --- checks that couple keys -------------------------------------------------
 # Each runs after every field is valid and reports through bad(key, message).
 
+def _formed(bad, key: str, what: str, form: Callable, *args):
+    """``form(*args)``; or None, once ``bad(key, f"{what}: {cause}")`` (the
+    cause alone if ``what`` is empty) has said why it cannot be formed: the
+    ValueError or ArithmeticError it raises (numpy's too, under
+    ``np.errstate(all="raise")``), or a float or array it returns, alone or
+    in a tuple, that is not all finite."""
+    try:
+        value = form(*args)
+    except (ValueError, ArithmeticError) as exc:
+        # the message; an OverflowError of float ** carries (errno, message)
+        cause = exc.args[-1] if exc.args else type(exc).__name__
+    else:
+        parts = value if isinstance(value, tuple) else (value,)
+        if all(np.isfinite(part).all() for part in parts
+               if isinstance(part, (float, np.ndarray))):
+            return value
+        cause = f"it is {value!r}"
+    bad(key, f"{what}: {cause}" if what else cause)
+    return None
+
+
 def _divides(t_final: float, step: float) -> bool:
     ratio = t_final / step if step > 0.0 else math.inf
     return (math.isfinite(ratio) and round(ratio) >= 1
@@ -135,20 +155,16 @@ def _check_decay_order(v: dict, bad) -> None:
     # the finest level marches t_final / (h0 / 2**(levels - 1)) steps
     if _refined_too_large(v["t_final"] / v["h0"], v["levels"]):
         bad("levels", _TOO_LARGE)
-        return
-    # the run's steps h0 / 2**i; unlike 2**i, ldexp cannot overflow
-    for i in range(v["levels"]):
-        h = math.ldexp(v["h0"], -i)
-        if not _divides(v["t_final"], h):
-            bad("h0", f"step {h!r} does not divide t_final")
-            return
+    else:  # the run's steps, as order_estimate forms them
+        _formed(bad, "h0", "", ode._step_ladder, v["t_final"], v["h0"],
+                v["levels"])
 
 
 def _check_ho_exact(v: dict, bad) -> None:
-    if v["omega"] * v["h"] / 2.0 >= math.pi:
-        bad("h", "omega*h/2 must stay below pi")
-    elif 2.0 * math.sin(v["omega"] * v["h"]) == 0.0:
-        # the report's amplitude invariant divides by 2 sin(omega*h)
+    # the march's own checks; the amplitude invariant divides by 2 sin(omega*h)
+    if (_formed(bad, "h", "", ode.ho_exact_states, v["omega"], v["h"], 0.0,
+                0.0, ()) is not None
+            and 2.0 * math.sin(v["omega"] * v["h"]) == 0.0):
         bad("h", "2 sin(omega*h) underflows to 0, and the amplitude "
                  "invariant divides by it")
     if v["n_steps"] + 1 > MAX_ARRAY_POINTS:
@@ -158,26 +174,6 @@ def _check_ho_exact(v: dict, bad) -> None:
     if math.hypot(v["y0"], v["v0"] / v["omega"]) > MAX_OSCILLATOR_AMPLITUDE:
         bad("y0", "the amplitude hypot(y0, v0/omega) exceeds "
                   f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
-
-
-def _formed(bad, key: str, what: str, form: Callable, *args):
-    """``form(*args)``; or None, once ``bad(key, f"{what}: {cause}")`` has
-    said why it cannot be formed: the ValueError or ArithmeticError it
-    raises (numpy's too, under ``np.errstate(all="raise")``), or a float
-    or array it returns, alone or in a tuple, that is not all finite."""
-    try:
-        value = form(*args)
-    except (ValueError, ArithmeticError) as exc:
-        # the message; an OverflowError of float ** carries (errno, message)
-        cause = exc.args[-1] if exc.args else type(exc).__name__
-    else:
-        parts = value if isinstance(value, tuple) else (value,)
-        if all(np.isfinite(part).all() for part in parts
-               if isinstance(part, (float, np.ndarray))):
-            return value
-        cause = f"it is {value!r}"
-    bad(key, f"{what}: {cause}")
-    return None
 
 
 def _check_pde_compare(v: dict, bad) -> None:
@@ -207,14 +203,16 @@ def _check_pde_compare(v: dict, bad) -> None:
 
 
 def _check_signature_demo(v: dict, bad) -> None:
-    if v["t_max"] <= v["t_min"]:
-        bad("t_max", "must exceed t_min")
-    if v["propagator"] == "nonlocal_ml" and v["alpha"] < ALPHA_MIN:
-        bad("alpha", f"must be >= {ALPHA_MIN:g} for nonlocal_ml")
+    window = _formed(bad, "t_max", "", propagators.origin_window,
+                     v["n_samples"], v["t_min"], v["t_max"])
+    nonlocal_ml = v["propagator"] == "nonlocal_ml"
+    # nonlocal_propagator's order, as its MLParams takes it
+    if nonlocal_ml and _formed(bad, "alpha", "", MLParams,
+                               v["alpha"]) is None:
         return
     # the propagator at the window's far end evaluates the Mittag-Leffler
     # function at -lambda t_max^alpha, which must be a finite argument
-    if (v["propagator"] == "nonlocal_ml" and v["t_max"] > v["t_min"]
+    if (nonlocal_ml and window is not None
             and not math.isfinite(v["lambda"] * v["t_max"] ** v["alpha"])):
         bad("t_max", "lambda * t_max**alpha leaves the double range, and "
                      "nonlocal_ml evaluates the Mittag-Leffler function "
@@ -232,14 +230,13 @@ def _check_signature_demo(v: dict, bad) -> None:
 
 
 def _check_laplace_bvp(v: dict, bad) -> None:
-    dx = 1.0 / (v["m0"] - 1)  # the coarsest level's, where psi2 is largest
-    if v["s"] <= v["b"]:
-        bad("s", "must exceed b (decaying transform regime)")
-    else:
-        _formed(bad, "s", f"psi2_spectral(dx, a, b, s) fails with dx = "
-                          f"{dx!r} and (b - s)/a = "
-                          f"{(v['b'] - v['s']) / v['a']!r}",
-                psi2_spectral, dx, v["a"], v["b"], v["s"])
+    # the coarsest level, where psi2 and psi2/a are largest, as the run forms
+    # it (underflow aside), unless no run of two levels may hold it
+    if not _refined_too_large(v["m0"] - 1, 2):
+        with np.errstate(all="raise", under="ignore"):
+            _formed(bad, "s", f"the coarsest level's solve, with dx = "
+                              f"{1.0 / (v['m0'] - 1)!r}, fails",
+                    _laplace_error, v, v["m0"])
     # the finest grid has (m0 - 1) * 2**(levels - 1) + 1 points
     if _refined_too_large(v["m0"] - 1, v["levels"]):
         bad("levels", _TOO_LARGE)
@@ -429,23 +426,27 @@ def _run_signature_demo(p: dict) -> list:
              signature.fit_residual)]
 
 
+def _laplace_error(p: dict, m: int) -> float:
+    """The max nodal error of the laplace_bvp run with validated values
+    ``p`` on its level of ``m`` points."""
+    grid = pde.Grid1D(x0=0.0, dx=1.0 / (m - 1), m_points=m,
+                      boundary=pde.Dirichlet(0.0, 0.0))
+    mode = p["ic_mode"]
+    sine = np.sin(mode * math.pi * grid.points)
+    problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=sine)
+    solution = pde.laplace_mode_solve(problem, grid, p["s"])
+    analytic = sine / (p["a"] * (mode * math.pi) ** 2 + p["s"] - p["b"])
+    return float(np.max(np.abs(solution - analytic)))
+
+
 def _run_laplace_bvp(p: dict) -> list:
     rows = []
     prev_err = None
-    mode = p["ic_mode"]
     for level in range(p["levels"]):
         m = (p["m0"] - 1) * 2**level + 1
-        grid = pde.Grid1D(x0=0.0, dx=1.0 / (m - 1), m_points=m,
-                          boundary=pde.Dirichlet(0.0, 0.0))
-        x = grid.points
-        problem = pde.PDEProblem(a=p["a"], b=p["b"],
-                                 initial_condition=np.sin(mode * math.pi * x))
-        solution = pde.laplace_mode_solve(problem, grid, p["s"])
-        analytic = np.sin(mode * math.pi * x) / (
-            p["a"] * (mode * math.pi) ** 2 + p["s"] - p["b"])
-        err = float(np.max(np.abs(solution - analytic)))
+        err = _laplace_error(p, m)
         observed = math.log2(prev_err / err) if prev_err else None
-        rows.append((level, m, grid.dx, err, observed))
+        rows.append((level, m, 1.0 / (m - 1), err, observed))
         prev_err = err
     return rows
 

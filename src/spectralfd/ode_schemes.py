@@ -46,7 +46,6 @@ from .denominators import phi_nsfd
 
 __all__ = [
     "SchemeFamily",
-    "DecayScheme",
     "Trajectory",
     "OrderSample",
     "decay_solve",
@@ -67,21 +66,6 @@ class SchemeFamily(Enum):
 
 
 @dataclass(frozen=True)
-class DecayScheme:
-    """A decay scheme family with its rate and step size."""
-
-    family: SchemeFamily
-    rate: float
-    step: float
-
-    def __post_init__(self) -> None:
-        if not (self.rate > 0.0):
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
-        if not (self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step!r}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """States x_0, ..., x_n of a run with a uniform step: x_i is the state
     at t_i = i * step."""
@@ -98,10 +82,9 @@ class Trajectory:
         return np.arange(len(self.states)) * self.step
 
 
-def _update(scheme: DecayScheme) -> tuple[np.ufunc, float]:
+def _update(family: SchemeFamily, lam: float,
+            h: float) -> tuple[np.ufunc, float]:
     """The one-step update as ``x_{n+1} = ufunc(x_n, factor)``."""
-    lam, h = scheme.rate, scheme.step
-    family = scheme.family
     if family is SchemeFamily.FORWARD_EULER:
         return np.multiply, 1.0 - lam * h
     if family is SchemeFamily.BACKWARD_EULER:
@@ -117,8 +100,9 @@ def _update(scheme: DecayScheme) -> tuple[np.ufunc, float]:
     return np.multiply, math.exp(-lam * h)
 
 
-def decay_solve(scheme: DecayScheme, x0: float, n_steps: int) -> Trajectory:
-    """March the decay scheme from x0 for n_steps.
+def decay_solve(family: SchemeFamily, rate: float, step: float, x0: float,
+                n_steps: int) -> Trajectory:
+    """March ``family`` at ``rate`` and ``step`` from x0 for n_steps.
 
     The states array holds x0 followed by the scheme's constant factor, and
     one ufunc ``accumulate`` turns it in place into x_0, ..., x_n.  The
@@ -126,14 +110,18 @@ def decay_solve(scheme: DecayScheme, x0: float, n_steps: int) -> Trajectory:
     n_steps one-step updates.  An unstable run overflows to inf without a
     warning, as Python float arithmetic does.
     """
+    if not (rate > 0.0):
+        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not (step > 0.0):
+        raise ValueError(f"step must be positive, got {step!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
-    ufunc, factor = _update(scheme)
+    ufunc, factor = _update(family, rate, step)
     states = np.full(n_steps + 1, factor)
     states[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         ufunc.accumulate(states, out=states)
-    return Trajectory(step=scheme.step, states=states)
+    return Trajectory(step=step, states=states)
 
 
 def ho_initial_from_velocity(omega: float, h: float, y0: float,
@@ -198,6 +186,23 @@ class OrderSample(NamedTuple):
     exact: bool
 
 
+def _step_ladder(t_final: float, h0: float,
+                 levels: int) -> list[tuple[float, int]]:
+    """The steps h = h0 / 2**i, i < levels, each with its step count
+    n = t_final / h.  Each step must divide t_final into n >= 1 steps,
+    within 1e-9; the first that does not raises ValueError."""
+    ladder = []
+    for i in range(levels):
+        h = math.ldexp(h0, -i)  # h0 / 2**i, which cannot overflow
+        n = t_final / h if h > 0.0 else math.inf
+        if not (math.isfinite(n) and round(n) >= 1
+                and abs(n - round(n)) <= 1e-9):
+            raise ValueError(
+                f"step {h!r} does not divide t_final={t_final!r}")
+        ladder.append((h, round(n)))
+    return ladder
+
+
 def order_estimate(family: SchemeFamily, rate: float, x0: float,
                    t_final: float, h0: float, levels: int) -> list[OrderSample]:
     """Observed order of a decay scheme over the steps h0 / 2**i, i < levels.
@@ -211,23 +216,14 @@ def order_estimate(family: SchemeFamily, rate: float, x0: float,
     """
     if levels < 4:
         raise ValueError(f"need at least 4 levels, got {levels!r}")
-    h_list = [h0 / 2**i for i in range(levels)]
-    errors = []
+    ladder = _step_ladder(t_final, h0, levels)
     exact_value = x0 * math.exp(-rate * t_final)
-    for h in h_list:
-        n_real = t_final / h
-        n = round(n_real)
-        if n < 1 or abs(n_real - n) > 1e-9:
-            raise ValueError(
-                f"step {h!r} does not divide t_final={t_final!r}"
-            )
-        scheme = DecayScheme(family=family, rate=rate, step=h)
-        traj = decay_solve(scheme, x0, n)
-        errors.append(abs(float(traj.states[-1]) - exact_value))
+    errors = [abs(float(decay_solve(family, rate, h, x0, n).states[-1])
+                  - exact_value) for h, n in ladder]
 
     floor = EXACT_ERROR_FLOOR * abs(x0)
     samples = []
-    for i, (h, err) in enumerate(zip(h_list, errors)):
+    for i, ((h, _), err) in enumerate(zip(ladder, errors)):
         exact = err <= floor
         p: Optional[float] = None
         if (not exact and i + 1 < len(errors) and errors[i + 1] > floor

@@ -203,14 +203,15 @@ def psi2_nsfd_oracle(dx: float, r: float) -> float:
         return float(4 * mpmath.sinh(mpmath.sqrt(-rm) * half) ** 2 / -rm)
 
 
-def decay_scalar_states(scheme, x0: float, n_steps: int) -> np.ndarray:
-    """States 0..n_steps of a decay scheme, one Python-float step at a time.
+def decay_scalar_states(family, lam: float, h: float, x0: float,
+                        n_steps: int) -> np.ndarray:
+    """States 0..n_steps of a decay scheme family with rate lam and step h,
+    one Python-float step at a time.
 
     Each family's one-step update is written out and iterated in a plain
     loop: the reference a vectorised march must match bit for bit.
     """
-    lam, h = scheme.rate, scheme.step
-    family = scheme.family.value
+    family = family.value
 
     def step(x: float) -> float:
         if family == "forward_euler":

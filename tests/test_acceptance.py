@@ -14,7 +14,6 @@ from spectralfd.denominators import phi_nsfd, phi_spectral, psi2_nsfd, psi2_spec
 from spectralfd.harness.config import parse_config
 from spectralfd.harness.experiments import run_experiment
 from spectralfd.ode_schemes import (
-    DecayScheme,
     SchemeFamily,
     decay_solve,
     ho_exact_states,
@@ -46,8 +45,8 @@ def test_criterion_1_exact_scheme_and_first_order_euler():
     # exactness of the denominator-function scheme at every grid point
     worst = 0.0
     for h in (0.1, 0.5, 1.0, 2.0):
-        scheme = DecayScheme(SchemeFamily.MICKENS_EXACT, rate=1.0, step=h)
-        traj = decay_solve(scheme, 1.0, round(10.0 / h))
+        traj = decay_solve(SchemeFamily.MICKENS_EXACT, 1.0, h, 1.0,
+                           round(10.0 / h))
         exact = np.exp(-traj.times)
         worst = max(worst, float(np.max(np.abs(traj.states - exact) / exact)))
     ok_exact = worst <= 1e-12

@@ -138,6 +138,18 @@ class TestPsi2Nsfd:
             assert abs(psi2_nsfd(dx, r) - ref) <= bound, (dx, r)
         assert branches == {True, False}
 
+    @pytest.mark.parametrize("r, error, match", [
+        # u = inf: past the sine zero, and past the range of sinh
+        (math.inf, DegenerateDenominatorError, "first sine zero"),
+        (-math.inf, OverflowError, r"^sinh\(inf\) exceeds the double range$"),
+        (math.nan, ValueError, "ratio r must be a number"),
+    ])
+    def test_contract_sweep_non_finite_ratio(self, r, error, match):
+        # the oracle has no double value here; psi2 was nan for -inf and nan
+        for dx in (1e-6, 0.3, 10.0):
+            with pytest.raises(error, match=match):
+                psi2_nsfd(dx, r)
+
 
 class TestSpectralDenominators:
     def test_matched_mode_gives_step(self):

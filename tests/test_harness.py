@@ -1110,14 +1110,15 @@ class TestCli:
         (["ml", "--tol", "1e4"], "tol: must lie in (0, 1)"),
         (["ml", "--alphas", "1.5"], "alphas: entries must lie in [0.01, 1]"),
         (["signature", "--alpha", "0.005"],
-         "alpha: must be >= 0.01 for nonlocal_ml"),
+         "alpha: Mittag-Leffler order alpha must lie in [0.01, 1], got "
+         "0.005"),
         # sin(2 pi 2 x_m / L) on 4 points is roundoff; times exp(-178) it
         # underflowed the error scale to 0 (ZeroDivisionError, exit 3)
         (["pde", "--a", "1", "--b", "0", "--m-points", "4", "--ic-mode", "2",
           "--t-final", "178", "--dt", "1", "--methods", "spectral_modal"],
          "ic_mode: the initial sine vanishes at every grid point"),
         (["ho", "--omega", "10", "--h", "0.7"],
-         "h: omega*h/2 must stay below pi"),
+         "h: omega*h/2 = 3.5 must stay below pi"),
         # 2 sin(omega*h) was 0: a silent nan energy_drift and a warning
         (["ho", "--omega", "1e-9", "--h", "5e-324", "--v0", "-1"],
          "h: 2 sin(omega*h) underflows to 0"),
@@ -1127,17 +1128,16 @@ class TestCli:
          "wavenumber up to pi/dx that the run forms, fails: dx must be "
          "positive, got 0.0"),
         (["signature", "--alpha", "0.7", "--t-min", "0.1", "--t-max", "0.01"],
-         "t_max: must exceed t_min"),
+         "t_max: window must satisfy 0 < t_min < t_max"),
         (["decay", "--schemes", "bogus"], "schemes: unknown entries ['bogus']"),
         (["pde", "--dt", ","], "dt: expected a non-empty list"),
         # psi2 was 4 inf^2 / inf: every error a silent nan (exit 0)
         (["laplace", "--a", "5e-324", "--b", "1e-9", "--s", "2"],
-         "s: psi2_spectral(dx, a, b, s) fails with dx = 0.1 and "
-         "(b - s)/a = -inf: it is nan"),
+         "s: the coarsest level's solve, with dx = 0.1, fails: sinh(inf) "
+         "exceeds the double range"),
         (["laplace", "--a", "1e9", "--b", "709", "--s", "1e300"],
-         "s: psi2_spectral(dx, a, b, s) fails with dx = 0.1 and "
-         "(b - s)/a = -1.0000000000000001e+291: sinh(1.58114e+144) exceeds "
-         "the double range"),
+         "s: the coarsest level's solve, with dx = 0.1, fails: "
+         "sinh(1.58114e+144) exceeds the double range"),
         # dx**2 = 0 was a ZeroDivisionError, and dx**2 = inf an
         # OverflowError that named no cause (exit 3)
         (["pde", "--ic-mode", "0", "--domain-length", "1e-160"],
@@ -1254,6 +1254,25 @@ class TestCli:
          "dx: the grid with dx = 1e-150, or a square of dx or of a "
          "wavenumber up to pi/dx that the run forms, fails: overflow "
          "encountered in multiply"),
+        # b/a = -inf: psi2 was 4 sinh(inf)^2 / inf, and the weights
+        # (nan, nan)
+        (["pde", "--a", "5e-324", "--b", "-1", "--methods", "nsfd"],
+         "a: nsfd's diffusion weight a/psi2 with dx = 0.09817477042468103 "
+         "fails: sinh(inf) exceeds the double range"),
+        # psi2/a overflowed: four nan rows (exit 0)
+        (["laplace", "--a", "5e-324", "--b", "0", "--s", "5e-324"],
+         "s: the coarsest level's solve, with dx = 0.1, fails: overflow "
+         "encountered in divide"),
+        # the analytic denominator a (ic_mode pi)^2 + s - b is subnormal:
+        # overflow warnings and nan errors (exit 0)
+        (["laplace", "--a", "1e-320", "--b", "0", "--s", "5e-324",
+          "--ic-mode", "32", "--levels", "4"],
+         "s: the coarsest level's solve, with dx = 0.1, fails: overflow "
+         "encountered in divide"),
+        (["laplace", "--a", "1e-320", "--b", "0", "--s", "5e-324",
+          "--ic-mode", "32", "--levels", "10"],
+         "s: the coarsest level's solve, with dx = 0.1, fails: overflow "
+         "encountered in divide"),
     ])
     def test_plan_fault_is_a_config_error(self, argv, message, tmp_path,
                                           capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spectralfd.ode_schemes import (
-    DecayScheme,
     SchemeFamily,
     Trajectory,
     decay_solve,
@@ -17,13 +16,9 @@ from spectralfd.ode_schemes import (
 from oracles import decay_scalar_states, ho_indexed_states
 
 
-def scheme(family, rate=1.0, step=0.1):
-    return DecayScheme(family=family, rate=rate, step=step)
-
-
-def one_step(scheme, x):
+def one_step(family, x, rate=1.0, step=0.1):
     """x_1 of a one-step march from x."""
-    return decay_solve(scheme, x, 1).states[1]
+    return decay_solve(family, rate, step, x, 1).states[1]
 
 
 def ho_trajectory(omega, h, n_steps, y0, y1):
@@ -33,52 +28,52 @@ def ho_trajectory(omega, h, n_steps, y0, y1):
 
 class TestDecayStep:
     def test_forward_euler(self):
-        assert one_step(scheme(SchemeFamily.FORWARD_EULER), 1.0) == 0.9
+        assert one_step(SchemeFamily.FORWARD_EULER, 1.0) == 0.9
 
     def test_backward_euler(self):
-        assert one_step(scheme(SchemeFamily.BACKWARD_EULER), 1.0) == \
+        assert one_step(SchemeFamily.BACKWARD_EULER, 1.0) == \
             pytest.approx(1.0 / 1.1, rel=1e-15)
 
     def test_mickens_exact(self):
         # closed form of the decay equation at one step
-        assert one_step(scheme(SchemeFamily.MICKENS_EXACT), 1.0) == \
+        assert one_step(SchemeFamily.MICKENS_EXACT, 1.0) == \
             pytest.approx(math.exp(-0.1), rel=1e-15)
 
     def test_quotient_and_multiplicative_forms_agree(self):
         for rate in (0.5, 1.0, 2.0):
             for h in (0.1, 0.5, 1.0, 2.0):
-                mick = one_step(scheme(SchemeFamily.MICKENS_EXACT, rate, h), 1.0)
-                spec = one_step(scheme(SchemeFamily.SPECTRAL_EXACT, rate, h), 1.0)
+                mick = one_step(SchemeFamily.MICKENS_EXACT, 1.0, rate, h)
+                spec = one_step(SchemeFamily.SPECTRAL_EXACT, 1.0, rate, h)
                 assert mick == pytest.approx(spec, rel=1e-15)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            DecayScheme(SchemeFamily.FORWARD_EULER, rate=0.0, step=0.1)
-        with pytest.raises(ValueError):
-            DecayScheme(SchemeFamily.FORWARD_EULER, rate=1.0, step=-0.1)
+        with pytest.raises(ValueError, match="rate must be positive"):
+            decay_solve(SchemeFamily.FORWARD_EULER, 0.0, 0.1, 1.0, 1)
+        with pytest.raises(ValueError, match="step must be positive"):
+            decay_solve(SchemeFamily.FORWARD_EULER, 1.0, -0.1, 1.0, 1)
 
 
 class TestDecaySolve:
     def test_spectral_exact_trajectory(self):
-        traj = decay_solve(scheme(SchemeFamily.SPECTRAL_EXACT, 1.0, 0.5), 1.0, 20)
+        traj = decay_solve(SchemeFamily.SPECTRAL_EXACT, 1.0, 0.5, 1.0, 20)
         for t, x in zip(traj.times, traj.states):
             assert x == pytest.approx(math.exp(-t), rel=1e-13)
         assert traj.states[-1] == pytest.approx(math.exp(-10.0), rel=1e-13)
 
     def test_forward_euler_sign_flip(self):
-        traj = decay_solve(scheme(SchemeFamily.FORWARD_EULER, 1.0, 2.0), 1.0, 1)
+        traj = decay_solve(SchemeFamily.FORWARD_EULER, 1.0, 2.0, 1.0, 1)
         assert traj.states[-1] == -1.0
 
     def test_backward_euler_stays_positive(self):
-        traj = decay_solve(scheme(SchemeFamily.BACKWARD_EULER, 1.0, 2.0), 1.0, 1)
+        traj = decay_solve(SchemeFamily.BACKWARD_EULER, 1.0, 2.0, 1.0, 1)
         assert traj.states[-1] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_exact_schemes_identical_trajectories(self):
         for rate in (0.5, 1.0, 2.0):
             for h in (0.1, 0.5, 1.0, 2.0):
-                mick = decay_solve(scheme(SchemeFamily.MICKENS_EXACT, rate, h),
+                mick = decay_solve(SchemeFamily.MICKENS_EXACT, rate, h,
                                    1.0, 20)
-                spec = decay_solve(scheme(SchemeFamily.SPECTRAL_EXACT, rate, h),
+                spec = decay_solve(SchemeFamily.SPECTRAL_EXACT, rate, h,
                                    1.0, 20)
                 np.testing.assert_allclose(mick.states, spec.states, rtol=1e-14)
 
@@ -87,9 +82,9 @@ class TestDecaySolve:
             for h in (0.1, 0.5, 1.0, 2.0, 5.0):
                 for family in (SchemeFamily.BACKWARD_EULER,
                                SchemeFamily.MICKENS_EXACT):
-                    traj = decay_solve(scheme(family, rate, h), 1.0, 30)
+                    traj = decay_solve(family, rate, h, 1.0, 30)
                     assert np.all(traj.states > 0.0)
-                fe = decay_solve(scheme(SchemeFamily.FORWARD_EULER, rate, h),
+                fe = decay_solve(SchemeFamily.FORWARD_EULER, rate, h,
                                  1.0, 30)
                 if rate * h < 1.0:
                     assert np.all(fe.states > 0.0)
@@ -98,19 +93,19 @@ class TestDecaySolve:
 
     def test_monotone_decay_exact_schemes(self):
         for family in (SchemeFamily.MICKENS_EXACT, SchemeFamily.SPECTRAL_EXACT):
-            traj = decay_solve(scheme(family, 1.3, 0.7), 2.5, 40)
+            traj = decay_solve(family, 1.3, 0.7, 2.5, 40)
             assert np.all(np.diff(traj.states) < 0.0)
 
     def test_step_count_validation(self):
         with pytest.raises(ValueError):
-            decay_solve(scheme(SchemeFamily.FORWARD_EULER), 1.0, 0)
+            decay_solve(SchemeFamily.FORWARD_EULER, 1.0, 0.1, 1.0, 0)
 
 
 class TestTrajectory:
     @pytest.mark.parametrize("family", list(SchemeFamily))
     def test_decay_solve_times(self, family):
         for step, n_steps in ((0.1, 1), (0.37, 20), (1e-5, 10**5)):
-            traj = decay_solve(scheme(family, 1.0, step), 1.0, n_steps)
+            traj = decay_solve(family, 1.0, step, 1.0, n_steps)
             assert traj.step == step
             assert traj.times.tobytes() == \
                 (np.arange(n_steps + 1) * step).tobytes()
@@ -201,21 +196,23 @@ class TestMarchesMatchScalarLoops:
                            (50.0, 1.0)]:  # underflows to 0
             for x0 in (1.0, -2.5, 0.0, 1e300, 3):
                 for n_steps in (1, 3, 1100):
-                    s = scheme(family, rate, step)
-                    expected = decay_scalar_states(s, x0, n_steps)
-                    traj = silent(decay_solve, s, x0, n_steps)
+                    expected = decay_scalar_states(family, rate, step, x0,
+                                                   n_steps)
+                    traj = silent(decay_solve, family, rate, step, x0,
+                                  n_steps)
                     assert traj.states.dtype == np.float64
                     assert traj.states.tobytes() == expected.tobytes()
-                    one = silent(one_step, s, x0)
+                    one = silent(one_step, family, x0, rate, step)
                     assert np.float64(one).tobytes() == expected[1].tobytes()
                     reached_inf |= bool(np.isinf(expected).any())
                     reached_zero |= x0 != 0.0 and expected[-1] == 0.0
         if family is SchemeFamily.FORWARD_EULER:
             assert reached_inf
         assert reached_zero
-        s = scheme(family, 1.0, 1e-5)
-        assert (silent(decay_solve, s, 1.0, 10**5).states.tobytes()
-                == decay_scalar_states(s, 1.0, 10**5).tobytes())
+        assert (silent(decay_solve, family, 1.0, 1e-5, 1.0, 10**5)
+                .states.tobytes()
+                == decay_scalar_states(family, 1.0, 1e-5, 1.0,
+                                       10**5).tobytes())
 
     @pytest.mark.parametrize("omega, h", [
         (1.0, 0.7), (1.0, 1e-3), (3.0, 2.0), (1e-8, 1.0),
@@ -295,7 +292,7 @@ class TestOrderEstimate:
     def test_mickens_past_the_range_of_exp_damps_to_zero(self):
         # rate * h = 1250 > 709: the quotient's exp(rate*h) is inf, and
         # phi_nsfd's OverflowError aborted the march
-        traj = decay_solve(scheme(SchemeFamily.MICKENS_EXACT, 1e4, 0.125),
+        traj = decay_solve(SchemeFamily.MICKENS_EXACT, 1e4, 0.125,
                            1.0, 8)
         assert traj.states.tolist() == [1.0] + [0.0] * 8
         rows = order_estimate(SchemeFamily.MICKENS_EXACT, 1e4, 1.0, 1.0,

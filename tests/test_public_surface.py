@@ -58,7 +58,6 @@ PUBLIC = {
     "spectralfd.harness.report.emit_json",
     "spectralfd.harness.report.emit_svg",
     "spectralfd.ode_schemes",
-    "spectralfd.ode_schemes.DecayScheme",
     "spectralfd.ode_schemes.OrderSample",
     "spectralfd.ode_schemes.SchemeFamily",
     "spectralfd.ode_schemes.Trajectory",
