@@ -137,12 +137,6 @@ def _formed(bad, key: str, what: str, form: Callable, *args):
     return None
 
 
-def _divides(t_final: float, step: float) -> bool:
-    ratio = t_final / step if step > 0.0 else math.inf
-    return (math.isfinite(ratio) and round(ratio) >= 1
-            and abs(ratio - round(ratio)) <= 1e-9)
-
-
 def _refined_too_large(base: float, levels: int) -> bool:
     # base * 2**(levels - 1) + 1 > MAX_ARRAY_POINTS, compared in log2 so
     # that a huge `levels` neither overflows a float nor builds a huge
@@ -176,15 +170,19 @@ def _check_ho_exact(v: dict, bad) -> None:
                   f"{MAX_OSCILLATOR_AMPLITUDE:.6g}")
 
 
+def _check_sine(bad, half_turns: int, intervals: int, rule: str) -> None:
+    # the initial sine samples sin(pi half_turns j / intervals) at grid
+    # point j: roundoff, not a mode, when intervals divides half_turns
+    if half_turns > 0 and half_turns % intervals == 0:
+        bad("ic_mode", "the initial sine vanishes at every grid point when "
+                       + rule)
+
+
 def _check_pde_compare(v: dict, bad) -> None:
-    for dt in v["dt"]:
-        if not _divides(v["t_final"], dt):
-            bad("dt", f"entry {dt!r} does not divide t_final")
-    # sin(2 pi ic_mode x_m / domain_length) samples sin(pi * integer)
-    # when 2 ic_mode is a multiple of m_points: roundoff, not a mode
-    if v["ic_mode"] > 0 and 2 * v["ic_mode"] % v["m_points"] == 0:
-        bad("ic_mode", "the initial sine vanishes at every grid point "
-                       "when 2 ic_mode is a multiple of m_points")
+    for dt in v["dt"]:  # each dt's step count, as the run forms it
+        _formed(bad, "dt", "", ode._step_ladder, v["t_final"], dt, 1)
+    _check_sine(bad, 2 * v["ic_mode"], v["m_points"],
+                "2 ic_mode is a multiple of m_points")
     # the exact solution's amplitude, as the runner's error scale forms it
     try:
         k = 2.0 * math.pi * v["ic_mode"] / v["domain_length"]
@@ -230,6 +228,9 @@ def _check_signature_demo(v: dict, bad) -> None:
 
 
 def _check_laplace_bvp(v: dict, bad) -> None:
+    # a sine that vanishes on a finer level vanishes on level 0
+    _check_sine(bad, v["ic_mode"], v["m0"] - 1,
+                "ic_mode is a multiple of m0 - 1")
     # the coarsest level, where psi2 and psi2/a are largest, as the run forms
     # it (underflow aside), unless no run of two levels may hold it
     if not _refined_too_large(v["m0"] - 1, 2):
@@ -327,7 +328,7 @@ def _plan(p: dict, bad: Callable[[str, str], None]) -> None:
         k_ends = None
         if stability or "spectral_modal" in methods:
             # 0 and the largest wavenumber, pi/dx for an even m_points
-            k_ends = abs(pde.grid_wavenumbers(grid)[[0, grid.m_points // 2]])
+            k_ends = pde.grid_wavenumbers(grid)[[0, -1]]
             if "spectral_modal" in methods:  # as evolve_modal forms them
                 problem.b - problem.a * k_ends**2
         if set(methods) - {"spectral_modal"}:
@@ -368,7 +369,7 @@ def _run_pde_compare(p: dict) -> list:
     rows = []
     for method in p["methods"]:
         for dt in p["dt"]:
-            n_steps = round(p["t_final"] / dt)
+            [(_, n_steps)] = ode._step_ladder(p["t_final"], dt, 1)
             traj = pde.evolve(problem, grid, kinds[method](dt), n_steps)
             t_end = float(traj.times[-1])
             exact = math.exp(growth * t_end) * ic
@@ -390,15 +391,14 @@ def _run_pde_compare(p: dict) -> list:
 
 def _run_pde_stability(p: dict) -> list:
     problem, grid, kinds = _build(p)
-    wavenumbers = sorted({float(k) for k in np.abs(pde.grid_wavenumbers(grid))})
+    ks = pde.grid_wavenumbers(grid)
     rows = []
     for method in p["methods"]:
         for dt in p["dt"]:
-            g = pde.amplification_factor(kinds[method](dt), problem, grid,
-                                         np.array(wavenumbers))
+            g = pde.amplification_factor(kinds[method](dt), problem, grid, ks)
             stable = np.abs(g) <= 1.0 + 1e-12
             # tolist() gives the report Python floats and bools
-            rows.extend(zip([method] * len(g), wavenumbers, [dt] * len(g),
+            rows.extend(zip([method] * len(g), ks.tolist(), [dt] * len(g),
                             g.tolist(), stable.tolist()))
     return rows
 

@@ -76,8 +76,8 @@ class Dirichlet:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1-D grid; periodic grids identify the point after the last
-    with the first, so the domain length is m_points * dx."""
+    """Uniform 1-D grid of finite length; periodic grids identify the point
+    after the last with the first, so the length is m_points * dx."""
 
     x0: float
     dx: float
@@ -89,6 +89,8 @@ class Grid1D:
             raise ValueError(f"dx must be positive, got {self.dx!r}")
         if self.m_points < 3:
             raise ValueError(f"need at least 3 points, got {self.m_points!r}")
+        if not np.isfinite(self.length):
+            raise ValueError(f"grid length must be finite, got {self.length!r}")
 
     @property
     def points(self) -> np.ndarray:
@@ -288,11 +290,9 @@ def evolve(problem: PDEProblem, grid: Grid1D,
 
 
 def grid_wavenumbers(grid: Grid1D) -> np.ndarray:
-    """Signed physical wavenumbers 2*pi*n/L of every transform index."""
-    m = grid.m_points
-    n = np.arange(m)
-    n = np.where(n <= m // 2, n, n - m)
-    return 2.0 * np.pi * n / grid.length
+    """The grid's distinct wavenumbers |k| = 2*pi*n/L, n = 0..m_points // 2,
+    in ascending order: one per bin of the real transform."""
+    return 2.0 * np.pi * np.arange(grid.m_points // 2 + 1) / grid.length
 
 
 def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
@@ -314,13 +314,12 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     problem.check_grid(grid)
-    m = grid.m_points
-    growth = problem.b - problem.a * grid_wavenumbers(grid)[: m // 2 + 1] ** 2
+    growth = problem.b - problem.a * grid_wavenumbers(grid) ** 2
     times = np.arange(n_steps + 1) * dt
     spectrum = np.fft.rfft(problem.initial_condition)
     with np.errstate(over="ignore", invalid="ignore"):
         frames = np.fft.irfft(spectrum * np.exp(np.outer(times, growth)),
-                              n=m)
+                              n=grid.m_points)
     frames[0] = problem.initial_condition
     return FieldTrajectory(grid=grid, dt=dt, frames=_finite_prefix(frames, 1))
 
@@ -393,6 +392,6 @@ def default_spectral_params(problem: PDEProblem, grid: Grid1D) -> tuple[float, f
     """
     problem.check_grid(grid)
     j = int(np.argmax(np.abs(np.fft.rfft(problem.initial_condition))))
-    k = 2.0 * np.pi * j / grid.length
+    k = grid_wavenumbers(grid)[j]
     s = problem.b + problem.a * (np.pi / grid.length) ** 2
     return float(k), float(s)

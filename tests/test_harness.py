@@ -563,6 +563,19 @@ class TestExperimentSemantics:
             assert (type(k), type(dt), type(g)) == (float, float, float)
             assert type(stable) is bool
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 33, 64, 127, 128, 4097])
+    @pytest.mark.parametrize("dx", [1e-100, 1e-3, 0.1, 1.0, 1e300])
+    def test_pde_stability_k_column_is_the_distinct_wavenumbers(self, m, dx):
+        report = run_experiment(build_config("pde_stability", {
+            "a": "0", "b": "0", "dx": repr(dx), "m_points": str(m),
+            "dt": "0.1,1", "methods": "euler,spectral_modal"}))
+        # every signed transform wavenumber 2 pi n / L, n in (-m/2, m/2],
+        # folded to its distinct magnitudes
+        n = np.arange(m)
+        signed = 2.0 * np.pi * np.where(n <= m // 2, n, n - m) / (m * dx)
+        expected = sorted({float(k) for k in np.abs(signed)})
+        assert column(report, "k") == expected * 4
+
     def test_laplace_bvp_orders(self):
         report = run_experiment(parse_config(GOLDEN_CONFIGS["laplace_bvp"]))
         orders = [p for p in column(report, "observed_p") if p is not None]
@@ -1273,6 +1286,28 @@ class TestCli:
           "--ic-mode", "32", "--levels", "10"],
          "s: the coarsest level's solve, with dx = 0.1, fails: overflow "
          "encountered in divide"),
+        # the grid's length 64 dx overflowed to inf, so every wavenumber
+        # was 0, and the 33 bins folded into one row per dt (exit 0)
+        (["pde", "--study", "stability", "--dx", "1e307", "--m-points", "64",
+          "--methods", "spectral_modal"],
+         "dx: the grid with dx = 1e+307, or a square of dx or of a "
+         "wavenumber up to pi/dx that the run forms, fails: grid length "
+         "must be finite, got inf"),
+        # sin(10 pi x) on the level-0 grid x = j / 10 is roundoff: a level-0
+        # error of 2e-17 and an observed order of -43 (exit 0)
+        (["laplace", "--ic-mode", "10"],
+         "ic_mode: the initial sine vanishes at every grid point when "
+         "ic_mode is a multiple of m0 - 1"),
+        # and divided by the subnormal analytic denominator, it overflowed
+        # on the finer levels: nan rows (exit 0) or an abort under -W error
+        (["laplace", "--a", "1e-320", "--b", "0", "--s", "5e-324",
+          "--ic-mode", "10"],
+         "ic_mode: the initial sine vanishes at every grid point when "
+         "ic_mode is a multiple of m0 - 1"),
+        (["laplace", "--a", "1e-320", "--b", "0", "--s", "5e-324",
+          "--ic-mode", "20"],
+         "ic_mode: the initial sine vanishes at every grid point when "
+         "ic_mode is a multiple of m0 - 1"),
     ])
     def test_plan_fault_is_a_config_error(self, argv, message, tmp_path,
                                           capsys):

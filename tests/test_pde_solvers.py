@@ -73,6 +73,13 @@ class TestGridAndProblem:
             Grid1D(x0=0.0, dx=0.0, m_points=8, boundary=Periodic())
         with pytest.raises(ValueError):
             Grid1D(x0=0.0, dx=0.1, m_points=2, boundary=Periodic())
+        # 64 intervals of 1e307 reach 6.4e308, past the double range, where
+        # every wavenumber 2 pi n / L would read 0
+        for boundary, m in ((Periodic(), 64), (Dirichlet(0.0, 0.0), 65)):
+            with pytest.raises(ValueError, match="grid length must be finite"):
+                Grid1D(x0=0.0, dx=1e307, m_points=m, boundary=boundary)
+            grid = Grid1D(x0=0.0, dx=2.5e306, m_points=m, boundary=boundary)
+            assert math.isfinite(grid.length)
 
     def test_periodic_length_counts_wrap_point(self):
         grid = periodic_grid(m=64)
@@ -301,7 +308,7 @@ class TestEvolveModal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = evolve_modal(problem, grid, dt, n_steps)
-        growth = 50.0 - grid_wavenumbers(grid)[: m // 2 + 1] ** 2
+        growth = 50.0 - grid_wavenumbers(grid) ** 2
         times = np.arange(n_steps + 1) * dt
         with np.errstate(over="ignore", invalid="ignore"):
             uncut = np.fft.irfft(np.fft.rfft(ic)
@@ -462,7 +469,7 @@ class TestMatchedSpectralPair:
         # the symbol sums c0 and 2 c1 cos(k dx), which cancel for large
         # dt / dx**2: its error is measured against |c0| + 2 |c1|
         grid = periodic_grid(m=m, length=length)
-        ks = np.abs(grid_wavenumbers(grid))[: m // 2 + 1].tolist()
+        ks = grid_wavenumbers(grid).tolist()
         for a in (0.0, 0.1, 1.0, 3.0):
             for b in (-2.0, 0.0, 0.7, 2.0):
                 problem = PDEProblem(a=a, b=b, initial_condition=np.zeros(m))
@@ -705,7 +712,7 @@ class TestLaplaceSineModeOracle:
 class TestAmplificationFactor:
     def test_array_wavenumbers(self):
         grid = periodic_grid(m=32)
-        ks = np.abs(grid_wavenumbers(grid))
+        ks = grid_wavenumbers(grid)
         for a in (0.0, 1.0):
             problem = PDEProblem(a=a, b=0.5, initial_condition=np.zeros(32))
             for kind in (EulerStd(dt=0.01), Nsfd(dt=0.01),
@@ -743,7 +750,7 @@ class TestAmplificationFactor:
     def test_euler_conditional_stability_sweep(self):
         grid = Grid1D(x0=0.0, dx=0.1, m_points=20, boundary=Periodic())
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(20))
-        ks = np.abs(grid_wavenumbers(grid))
+        ks = grid_wavenumbers(grid)
         bound = grid.dx**2 / 2.0
         dts = np.arange(0.001, 0.01, 0.0002)
         stable = []
@@ -768,6 +775,25 @@ class TestAmplificationFactor:
                 stepped = step(problem, grid, kind, frame)
                 np.testing.assert_allclose(stepped, g * frame, rtol=1e-11,
                                            atol=1e-13)
+
+
+class TestGridWavenumbers:
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 33, 64, 127, 4097])
+    @pytest.mark.parametrize("dx", [1e-100, 1e-3, 0.1, 1.0, 1e300])
+    @pytest.mark.parametrize("periodic", [True, False])
+    def test_matches_rfftfreq(self, m, dx, periodic):
+        # numpy's real-transform bins n / (m d) for n = 0..m // 2, with the
+        # spacing d of m periodic points over the grid's length
+        boundary = Periodic() if periodic else Dirichlet(0.0, 0.0)
+        grid = Grid1D(x0=0.0, dx=dx, m_points=m, boundary=boundary)
+        d = dx if periodic else dx * (m - 1) / m
+        oracle = 2.0 * np.pi * np.fft.rfftfreq(m, d)
+        ks = grid_wavenumbers(grid)
+        assert ks.shape == (m // 2 + 1,)
+        np.testing.assert_array_max_ulp(ks, oracle, maxulp=4)
+        # each bin is the float 2 pi j / L, bit for bit
+        assert ks.tolist() == [2.0 * np.pi * j / grid.length
+                               for j in range(m // 2 + 1)]
 
 
 class TestDefaults:
