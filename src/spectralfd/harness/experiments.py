@@ -235,9 +235,14 @@ def _check_laplace_bvp(v: dict, bad) -> None:
     # it (underflow aside), unless no run of two levels may hold it
     if not _refined_too_large(v["m0"] - 1, 2):
         with np.errstate(all="raise", under="ignore"):
-            _formed(bad, "s", f"the coarsest level's solve, with dx = "
-                              f"{1.0 / (v['m0'] - 1)!r}, fails",
-                    _laplace_error, v, v["m0"])
+            level = _formed(bad, "s", f"the coarsest level's solve, with "
+                                      f"dx = {1.0 / (v['m0'] - 1)!r}, fails",
+                            _laplace_error, v, v["m0"])
+        # an absolute error against a subnormal solution measures no order
+        if level is not None and not level[1] >= sys.float_info.min:
+            bad("a", f"the analytic solution sine / (a (ic_mode pi)^2 + s "
+                     f"- b) peaks at {level[1]!r} on the coarsest level, "
+                     "below the smallest normal double")
     # the finest grid has (m0 - 1) * 2**(levels - 1) + 1 points
     if _refined_too_large(v["m0"] - 1, v["levels"]):
         bad("levels", _TOO_LARGE)
@@ -383,6 +388,8 @@ def _run_pde_compare(p: dict) -> list:
             scale = max(float(np.max(np.abs(exact))), noise)
             err = float(np.max(np.abs(traj.frames[-1] - exact))) / scale
             truncated = len(traj.frames) < n_steps + 1
+            # the next march must not run beside this one's frames
+            del traj
             # a nan error is no evidence of convergence
             diverged = truncated or not err <= DIVERGENCE_THRESHOLD
             rows.append((method, dt, grid.dx, t_end, err, diverged))
@@ -426,9 +433,10 @@ def _run_signature_demo(p: dict) -> list:
              signature.fit_residual)]
 
 
-def _laplace_error(p: dict, m: int) -> float:
+def _laplace_error(p: dict, m: int) -> tuple[float, float]:
     """The max nodal error of the laplace_bvp run with validated values
-    ``p`` on its level of ``m`` points."""
+    ``p`` on its level of ``m`` points, and the max nodal amplitude of the
+    analytic solution that it measures against."""
     grid = pde.Grid1D(x0=0.0, dx=1.0 / (m - 1), m_points=m,
                       boundary=pde.Dirichlet(0.0, 0.0))
     mode = p["ic_mode"]
@@ -436,7 +444,8 @@ def _laplace_error(p: dict, m: int) -> float:
     problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=sine)
     solution = pde.laplace_mode_solve(problem, grid, p["s"])
     analytic = sine / (p["a"] * (mode * math.pi) ** 2 + p["s"] - p["b"])
-    return float(np.max(np.abs(solution - analytic)))
+    return (float(np.max(np.abs(solution - analytic))),
+            float(np.max(np.abs(analytic))))
 
 
 def _run_laplace_bvp(p: dict) -> list:
@@ -444,7 +453,7 @@ def _run_laplace_bvp(p: dict) -> list:
     prev_err = None
     for level in range(p["levels"]):
         m = (p["m0"] - 1) * 2**level + 1
-        err = _laplace_error(p, m)
+        err, _ = _laplace_error(p, m)
         observed = math.log2(prev_err / err) if prev_err else None
         rows.append((level, m, 1.0 / (m - 1), err, observed))
         prev_err = err

@@ -104,6 +104,9 @@ def signature_fit(samples) -> WaveSignature:
     ``samples`` is a sequence of (t, W) pairs with strictly increasing t > 0
     and W > 0.  The slope of log W against log t gives the exponent, the
     intercept the amplitude; the residual is the RMS deviation in log space.
+    The line is the least-squares fit in closed form, from sums centred on
+    the means of x = log t and y = log W: with d = x - mean x, the slope is
+    sum d (y - mean y) / sum d**2 and the intercept mean y - slope mean x.
 
     Raises
     ------
@@ -129,7 +132,10 @@ def signature_fit(samples) -> WaveSignature:
     if np.ptp(log_t) < 1e-14:
         raise FitDegenerateError("zero variance in log t")
 
-    slope, intercept = np.polyfit(log_t, log_w, 1)
+    mean_t, mean_w = float(np.mean(log_t)), float(np.mean(log_w))
+    d = log_t - mean_t
+    slope = float(np.sum(d * (log_w - mean_w)) / np.sum(d * d))
+    intercept = mean_w - slope * mean_t
     resid = log_w - (slope * log_t + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
 
@@ -140,5 +146,5 @@ def signature_fit(samples) -> WaveSignature:
         )
     kind = (SignatureKind.DEBYE if DEBYE_BAND[0] <= slope <= DEBYE_BAND[1]
             else SignatureKind.KWW)
-    return WaveSignature(kind=kind, c_hat=float(math.exp(intercept)),
-                         alpha_hat=float(slope), fit_residual=rms)
+    return WaveSignature(kind=kind, c_hat=math.exp(intercept),
+                         alpha_hat=slope, fit_residual=rms)

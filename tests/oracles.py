@@ -266,3 +266,22 @@ def bisect(f, lo: float, hi: float, tol: float = 1e-14,
         else:
             lo, f_lo = mid, f_mid
     return 0.5 * (lo + hi)
+
+
+def least_squares_line(samples) -> tuple[float, float, float]:
+    """The least-squares line log W = slope log t + intercept through the
+    (t, W) samples, and the RMS of its residuals, from the uncentred normal
+    equations in 50-digit mpmath at the exact doubles passed in, rounded to
+    double.  Returns (slope, intercept, rms)."""
+    with mpmath.workdps(50):
+        x = [mpmath.log(mpmath.mpf(t)) for t, _ in samples]
+        y = [mpmath.log(mpmath.mpf(w)) for _, w in samples]
+        n = len(x)
+        sx, sy = mpmath.fsum(x), mpmath.fsum(y)
+        sxx = mpmath.fsum(xi * xi for xi in x)
+        sxy = mpmath.fsum(xi * yi for xi, yi in zip(x, y))
+        slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+        intercept = (sy - slope * sx) / n
+        rms = mpmath.sqrt(mpmath.fsum((yi - slope * xi - intercept) ** 2
+                                      for xi, yi in zip(x, y)) / n)
+        return float(slope), float(intercept), float(rms)

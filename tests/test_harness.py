@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -575,6 +576,25 @@ class TestExperimentSemantics:
         signed = 2.0 * np.pi * np.where(n <= m // 2, n, n - m) / (m * dx)
         expected = sorted({float(k) for k in np.abs(signed)})
         assert column(report, "k") == expected * 4
+
+    def test_pde_compare_holds_one_frames_array(self):
+        # three explicit marches of 2001 frames at M = 64: the run reads
+        # only each one's last frame, so it drops each trajectory before it
+        # marches the next
+        dx, n_steps = 2.0 * math.pi / 64, 2000
+        dt = 0.05 * dx * dx
+        config = build_config("pde_compare", {
+            "a": "1.0", "b": "-0.25", "ic_mode": "1", "m_points": "64",
+            "t_final": repr(n_steps * dt), "dt": repr(dt),
+            "methods": "euler,nsfd,spectral_phys"})
+        tracemalloc.start()
+        try:
+            report = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row[5] for row in report.rows] == [False] * 3
+        assert peak < 1.5 * (n_steps + 1) * 64 * 8
 
     def test_laplace_bvp_orders(self):
         report = run_experiment(parse_config(GOLDEN_CONFIGS["laplace_bvp"]))
@@ -1314,6 +1334,36 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, peak", [
+        # a (ic_mode pi)^2 overflowed, so the analytic solution was 0 and
+        # the observed order 0.08 down to 0.005 (exit 0)
+        (["laplace", "--a", "1e307", "--ic-mode", "3"], "0.0"),
+        (["laplace", "--a", "1e308", "--ic-mode", "1"], "0.0"),
+        # a solution of about 1.1e-308 is subnormal
+        (["laplace", "--a", "1e306", "--ic-mode", "3"],
+         "1.1257909293593085e-308"),
+    ])
+    def test_subnormal_laplace_solution_is_a_config_error(
+            self, argv, peak, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: a: the analytic solution sine / (a (ic_mode "
+            f"pi)^2 + s - b) peaks at {peak} on the coarsest level, below "
+            "the smallest normal double\n")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_normal_laplace_solution_still_runs(self, tmp_path):
+        # the analytic solution peaks near 2e-303 on level 0, a normal
+        # double, and its finest error of 3e-309 still reads second order
+        argv = ["laplace", "--a", "1e300", "--ic-mode", "7", "--levels", "10"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        orders = [float(row["observed_p"]) for row in
+                  csv_rows(tmp_path / "laplace_bvp.csv")[1:]]
+        assert len(orders) == 9
+        assert all(abs(p - 2.0) < 0.3 for p in orders)
 
     @pytest.mark.filterwarnings("error")
     def test_explicit_run_squares_no_wavenumber(self, tmp_path):

@@ -13,7 +13,7 @@ from spectralfd.propagators import (
     signature_fit,
 )
 
-from oracles import ml_half_oracle
+from oracles import least_squares_line, ml_half_oracle
 
 
 class TestLocalPropagator:
@@ -136,6 +136,42 @@ class TestSignatureFit:
         ts = origin_window()
         with pytest.raises(FitRangeError):
             signature_fit([(float(t), float(t)**1.4) for t in ts])
+
+    def test_matches_extended_precision_least_squares(self):
+        # power laws in the fit's admissible range with log-normal scatter,
+        # at sorted random times over two to six decades
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(8, 200))
+            t = np.unique(10.0 ** rng.uniform(-6.0, rng.uniform(-4.0, 0.0),
+                                              size=n))  # sorted, distinct
+            w = (rng.uniform(0.1, 10.0) * t ** rng.uniform(0.2, 1.1)
+                 * np.exp(rng.normal(0.0, rng.uniform(0.01, 0.3), size=len(t))))
+            samples = list(zip(t.tolist(), w.tolist()))
+            slope, intercept, rms = least_squares_line(samples)
+            sig = signature_fit(samples)
+            # c_hat = exp(intercept): its relative error is the intercept's
+            # absolute one, which stays meaningful for an intercept near 0
+            assert sig.alpha_hat == pytest.approx(slope, rel=1e-13, abs=0)
+            assert sig.c_hat == pytest.approx(math.exp(intercept), rel=1e-13,
+                                              abs=0)
+            assert sig.fit_residual == pytest.approx(rms, rel=1e-13, abs=0)
+
+    def test_fit_needs_no_linear_algebra(self, monkeypatch, tmp_path):
+        # the fit is closed-form: neither the polynomial fit nor the
+        # least-squares solver of numpy runs on the signature path
+        def refuse(*args, **kwargs):
+            raise AssertionError("linear-algebra least squares called")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        samples = [(float(t), 1.0 - nonlocal_propagator(1.0, 0.7, float(t)))
+                   for t in origin_window()]
+        assert signature_fit(samples).kind is SignatureKind.KWW
+        from spectralfd.harness.cli import main
+        assert main(["signature", "--alpha", "0.7",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "signature_demo.csv").exists()
 
     def test_origin_window_validation(self):
         with pytest.raises(ValueError):
