@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spectralfd.harness.cli import main
 from spectralfd.propagators import (
     FitDegenerateError,
     FitRangeError,
@@ -145,8 +146,9 @@ class TestSignatureFit:
             n = int(rng.integers(8, 200))
             t = np.unique(10.0 ** rng.uniform(-6.0, rng.uniform(-4.0, 0.0),
                                               size=n))  # sorted, distinct
+            scatter = rng.normal(0.0, rng.uniform(0.01, 0.3), size=len(t))
             w = (rng.uniform(0.1, 10.0) * t ** rng.uniform(0.2, 1.1)
-                 * np.exp(rng.normal(0.0, rng.uniform(0.01, 0.3), size=len(t))))
+                 * np.exp(scatter))
             samples = list(zip(t.tolist(), w.tolist()))
             slope, intercept, rms = least_squares_line(samples)
             sig = signature_fit(samples)
@@ -168,7 +170,6 @@ class TestSignatureFit:
         samples = [(float(t), 1.0 - nonlocal_propagator(1.0, 0.7, float(t)))
                    for t in origin_window()]
         assert signature_fit(samples).kind is SignatureKind.KWW
-        from spectralfd.harness.cli import main
         assert main(["signature", "--alpha", "0.7",
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "signature_demo.csv").exists()
