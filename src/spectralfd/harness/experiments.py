@@ -21,7 +21,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -178,28 +178,6 @@ def _check_sine(bad, half_turns: int, intervals: int, rule: str) -> None:
                        + rule)
 
 
-def _check_pde_compare(v: dict, bad) -> None:
-    for dt in v["dt"]:  # each dt's step count, as the run forms it
-        _formed(bad, "dt", "", ode._step_ladder, v["t_final"], dt, 1)
-    _check_sine(bad, 2 * v["ic_mode"], v["m_points"],
-                "2 ic_mode is a multiple of m_points")
-    # the exact solution's amplitude, as the runner's error scale forms it
-    try:
-        k = 2.0 * math.pi * v["ic_mode"] / v["domain_length"]
-        amplitude = math.exp((v["b"] - v["a"] * k**2) * v["t_final"])
-    except OverflowError:
-        amplitude = math.inf
-    if not 0.0 < amplitude < math.inf:
-        bad("t_final", "exp((b - a k^2) t) leaves the double range by "
-                       "t = t_final, with k = 2 pi ic_mode / domain_length")
-    # frames: (t_final / min(dt) + 1) x m_points
-    frames = v["t_final"] / min(v["dt"]) + 1.0
-    if v["m_points"] > MAX_ARRAY_POINTS / frames:
-        bad("dt", _TOO_LARGE)
-    else:
-        _plan(v, bad)
-
-
 def _check_signature_demo(v: dict, bad) -> None:
     window = _formed(bad, "t_max", "", propagators.origin_window,
                      v["n_samples"], v["t_min"], v["t_max"])
@@ -290,91 +268,114 @@ def _run_ho_exact(p: dict) -> list:
     return rows
 
 
-def _build(p: dict) -> tuple:
-    """The problem, grid and solver kinds (by method, each a function of
-    dt) of the pde run with validated values ``p``."""
-    m = p["m_points"]
-    dx = p["dx"] if "dx" in p else p["domain_length"] / m
-    grid = pde.Grid1D(x0=0.0, dx=dx, m_points=m, boundary=pde.Periodic())
-    if "dx" in p:  # stability: its data is never marched
-        ic = np.zeros(m)
-    else:  # sin(2 pi ic_mode x / domain_length), or ones for mode 0
-        k_phys = 2.0 * math.pi * p["ic_mode"] / p["domain_length"]
-        ic = np.sin(k_phys * grid.points) if p["ic_mode"] > 0 else np.ones(m)
-    problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic)
-    kinds = {name: _PDE_METHODS[name] for name in p["methods"]}
-    if "spectral_phys" in kinds:  # k_mode and s_mode where given
-        k, s = pde.default_spectral_params(problem, grid)
-        kinds["spectral_phys"] = functools.partial(
-            pde.SpectralPhys, k=p.get("k_mode", k), s=p.get("s_mode", s))
-    return problem, grid, kinds
+class _PdePlan(NamedTuple):  # a pde run, as ``_plan`` forms it
+    problem: pde.PDEProblem
+    grid: pde.Grid1D
+    kinds: dict  # by method, each a function of dt
+    wavenumbers: Optional[np.ndarray]  # the grid's, where the run forms them
+    growth: Optional[float]  # pde_compare's: its mode's b - a k^2
+    steps: Optional[list]  # pde_compare's: (dt, step count) pairs
 
 
-def _plan(p: dict, bad: Callable[[str, str], None]) -> None:
-    """Validation's dry run of a pde run: it builds the run with
-    ``_build``, as the runners do, and forms what the run forms from it
-    that can fail, under ``np.errstate(all="raise")``, underflow aside.
-    These are the grid and its initial data, the wavenumbers and growth
-    rates b - a k^2 where the run forms them, spectral_phys's (k, s), and
-    dx**2 if an explicit method runs (a fault names the spacing key,
-    domain_length or dx, and ends the dry run); each explicit method's
-    psi2 (a fault names a for nsfd, s_mode for spectral_phys); and each
-    (method, dt)'s stencil weights (c0, c1) and, for stability, its
-    amplification factor at the grid's smallest and largest wavenumbers,
-    which bound it at the others (a fault names dt).
+def _plan(p: dict, bad: Callable[[str, str], None]) -> Optional[_PdePlan]:
+    """The pde run with validated values ``p``, or None once ``bad`` has
+    named a fault.  Both pde records check with it, and each runner starts
+    from ``_plan(p, _abort)``.  It forms pde_compare's step counts, sine,
+    amplitude and frames bound, then, with numpy's errors raised but
+    underflow, the grid, its data, and the wavenumbers, growth rates,
+    (k, s), psi2, weights (c0, c1) and amplification factors the run forms;
+    README *Config format* gives their order and the key each fault names.
     """
-    stability = "dx" in p
-    spacing = "dx" if stability else "domain_length"
-    dx = p["dx"] if stability else p["domain_length"] / p["m_points"]
-    methods = p["methods"]
+    faults = []
 
-    def setup() -> tuple:
-        problem, grid, kinds = _build(p)
-        k_ends = None
+    def fault(key: str, message: str) -> None:
+        faults.append(key)
+        bad(key, message)
+
+    m, methods, stability = p["m_points"], p["methods"], "dx" in p
+    growth = steps = None
+    if not stability:
+        ladders = [_formed(fault, "dt", "", ode._step_ladder, p["t_final"],
+                           dt, 1) for dt in p["dt"]]
+        _check_sine(fault, 2 * p["ic_mode"], m,
+                    "2 ic_mode is a multiple of m_points")
+        k = math.inf  # where ic_mode is past the double range
+        try:
+            k = 2.0 * math.pi * p["ic_mode"] / p["domain_length"]
+            growth = p["b"] - p["a"] * k**2
+            amplitude = math.exp(growth * p["t_final"])
+        except OverflowError:
+            amplitude = math.inf
+        if not 0.0 < amplitude < math.inf:
+            fault("t_final", "exp((b - a k^2) t) leaves the double range by t"
+                  " = t_final, with k = 2 pi ic_mode / domain_length")
+        # frames: (t_final / min(dt) + 1) x m_points
+        if m > MAX_ARRAY_POINTS / (p["t_final"] / min(p["dt"]) + 1.0):
+            fault("dt", _TOO_LARGE)
+            return None
+        steps = [ladder[0] for ladder in ladders if ladder]
+    dx = p["dx"] if stability else p["domain_length"] / m
+
+    def build() -> tuple:
+        grid = pde.Grid1D(x0=0.0, dx=dx, m_points=m, boundary=pde.Periodic())
+        if stability:  # its data is never marched
+            ic = np.zeros(m)
+        else:  # sin(k x), or ones for mode 0
+            ic = np.sin(k * grid.points) if p["ic_mode"] > 0 else np.ones(m)
+        problem = pde.PDEProblem(a=p["a"], b=p["b"], initial_condition=ic)
+        kinds = {name: _PDE_METHODS[name] for name in methods}
+        if "spectral_phys" in kinds:  # k_mode and s_mode where given
+            k0, s0 = pde.default_spectral_params(problem, grid)
+            kinds["spectral_phys"] = functools.partial(
+                pde.SpectralPhys, k=p.get("k_mode", k0), s=p.get("s_mode", s0))
+        ks = None
         if stability or "spectral_modal" in methods:
-            # 0 and the largest wavenumber, pi/dx for an even m_points
-            k_ends = pde.grid_wavenumbers(grid)[[0, -1]]
+            ks = pde.grid_wavenumbers(grid)
             if "spectral_modal" in methods:  # as evolve_modal forms them
-                problem.b - problem.a * k_ends**2
+                problem.b - problem.a * ks[[0, -1]]**2
         if set(methods) - {"spectral_modal"}:
             pde._weights(pde.EulerStd(_PSI2_PROBE_DT), problem, grid)
-        return problem, grid, kinds, k_ends
+        return problem, grid, kinds, ks
 
     with np.errstate(all="raise", under="ignore"):
-        plan = _formed(bad, spacing, f"the grid with dx = {dx!r}, or a "
-                       "square of dx or of a wavenumber up to pi/dx that the "
-                       "run forms, fails", setup)
-        if plan is None:
-            return
-        problem, grid, kinds, k_ends = plan
+        built = _formed(fault, "dx" if stability else "domain_length",
+                        f"the grid with dx = {dx!r}, or a square of dx or of "
+                        "a wavenumber up to pi/dx that the run forms, fails",
+                        build)
+        if built is None:
+            return None
+        problem, grid, kinds, ks = built
         for method in methods:
             if method in _PSI2_KEYS and _formed(
-                    bad, _PSI2_KEYS[method], f"{method}'s diffusion weight "
+                    fault, _PSI2_KEYS[method], f"{method}'s diffusion weight "
                     f"a/psi2 with dx = {dx!r} fails", pde._weights,
                     kinds[method](_PSI2_PROBE_DT), problem, grid) is None:
                 continue  # its weights would fail with it at every dt
             for dt in p["dt"]:
                 kind = kinds[method](dt)
                 if method != "spectral_modal":
-                    _formed(bad, "dt", f"{method}'s stencil weights (c0, c1) "
-                            f"at dt = {dt!r} fail", pde._weights, kind,
+                    _formed(fault, "dt", f"{method}'s stencil weights (c0, "
+                            f"c1) at dt = {dt!r} fail", pde._weights, kind,
                             problem, grid)
                 if stability:
-                    _formed(bad, "dt", f"{method}'s amplification factor at "
-                            f"dt = {dt!r} fails", pde.amplification_factor,
-                            kind, problem, grid, k_ends)
+                    _formed(fault, "dt", f"{method}'s amplification factor "
+                            f"at dt = {dt!r} fails", pde.amplification_factor,
+                            kind, problem, grid, ks[[0, -1]])  # 0, pi/dx
+    return None if faults else _PdePlan(*built, growth, steps)
+
+
+def _abort(key: str, message: str) -> None:
+    """``bad`` at run time: a fault breaks an invariant, and exits 3."""
+    raise RuntimeError(f"{key}: {message}")
 
 
 def _run_pde_compare(p: dict) -> list:
-    problem, grid, kinds = _build(p)
+    problem, grid, kinds, _, growth, steps = _plan(p, _abort)
     m, ic = grid.m_points, problem.initial_condition
-    k_phys = 2.0 * math.pi * p["ic_mode"] / p["domain_length"]
-    growth = problem.b - problem.a * k_phys**2
     u0_max = float(np.max(np.abs(ic)))
     rows = []
     for method in p["methods"]:
-        for dt in p["dt"]:
-            [(_, n_steps)] = ode._step_ladder(p["t_final"], dt, 1)
+        for dt, n_steps in steps:
             traj = pde.evolve(problem, grid, kinds[method](dt), n_steps)
             t_end = float(traj.times[-1])
             exact = math.exp(growth * t_end) * ic
@@ -397,8 +398,7 @@ def _run_pde_compare(p: dict) -> list:
 
 
 def _run_pde_stability(p: dict) -> list:
-    problem, grid, kinds = _build(p)
-    ks = pde.grid_wavenumbers(grid)
+    problem, grid, kinds, ks, _, _ = _plan(p, _abort)
     rows = []
     for method in p["methods"]:
         for dt in p["dt"]:
@@ -473,7 +473,7 @@ class _Experiment:
     columns: tuple[str, ...]     # its report's columns
     plot: PlotSpec               # its SVG
     run: Callable[[dict], list]  # validated values -> report rows
-    check: Callable[[dict, Callable[[str, str], None]], None] = \
+    check: Callable[[dict, Callable[[str, str], None]], object] = \
         lambda values, bad: None
     # CLI values for keys a config file must give itself
     cli_defaults: dict[str, str] = field(default_factory=dict)
@@ -531,7 +531,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
                  "diverged"),
         plot=PlotSpec(x="dt", y="max_nodal_error", logx=True, logy=True,
                       group_by=("method",)),
-        run=_run_pde_compare, check=_check_pde_compare,
+        run=_run_pde_compare, check=_plan,
         cli_defaults={"a": "1.0", "b": "0.0", "ic_mode": "1",
                       "t_final": "2.0", "dt": "0.01,0.1,1.0"},
     ),

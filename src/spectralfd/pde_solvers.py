@@ -5,8 +5,11 @@ The explicit schemes share one update, ``step``: the three-point stencil
     new[m] = c0 * u[m] + c1 * (u[m+1] + u[m-1])
 
 with weights c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1, which is
-u + phi * (a * D2 u / psi2 + b * u) regrouped.  The kinds differ only in
-the denominator pair (phi, psi2) the weights come from:
+u + phi * (a * D2 u / psi2 + b * u) regrouped.  nsfd's 1 + phi * b is
+formed as exp(b dt), and spectral_phys's as exp((b - a k^2) dt) +
+phi a k^2, since the sum cancels as b dt falls below about -1; so at a = 0
+nsfd is the exact reaction step in floating point too.  The kinds differ
+only in the denominator pair (phi, psi2) the weights come from:
 
 * ``EulerStd``     - phi = dt, psi2 = dx**2,
 * ``Nsfd``         - phi and psi2 from the exact physical-space
@@ -29,7 +32,10 @@ kind applies to each spatial mode and the basic stability diagnostic.
 ``evolve_modal`` instead multiplies every Fourier mode of a periodic frame
 by its exact growth factor exp((b - a*k^2)*t), which makes the evolution
 exact for any step size; the transform is numpy's real FFT, so the frames
-are real by construction and the grid size is not capped.
+are real by construction and the grid size is not capped.  It forms the
+frames in blocks of rows of the same size as the march's checks, so it
+holds little more than its frames array, and stops at the first block
+that holds a non-finite row.
 ``laplace_mode_solve`` is the transform-space boundary-value companion: one
 Laplace mode of the solution with homogeneous Dirichlet walls, solved as a
 division in sine space (a DST-I done with the same real FFT).
@@ -37,6 +43,7 @@ division in sine space (a DST-I done with the same real FFT).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -174,26 +181,34 @@ def _weights(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem,
     """The stencil weights (c0, c1) of an explicit solver kind:
     c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1 from its (phi, psi2).
 
-    c1 is 0 when a == 0: the diffusion term drops out, and psi2 is not
-    formed, since the physical and spectral space ones are undefined there.
+    For nsfd, 1 + phi * b is exp(b dt), and for spectral_phys it is
+    exp(g dt) + phi a k^2 with g = b - a k^2; each is formed so, since the
+    sum 1 + phi * b cancels as b dt falls below about -1 and is 0 from
+    about -37 on.  c1 is 0 when a == 0: the diffusion term drops out, and
+    psi2 is not formed, since the physical and spectral space ones are
+    undefined there.
     """
-    a, b, dx = problem.a, problem.b, grid.dx
+    a, b, dt, dx = problem.a, problem.b, kind.dt, grid.dx
     if isinstance(kind, EulerStd):
-        phi = kind.dt
-        c1 = phi * a / dx**2 if a > 0.0 else 0.0
-    elif isinstance(kind, Nsfd):
-        phi = phi_nsfd(kind.dt, b)
+        c1 = dt * a / dx**2 if a > 0.0 else 0.0
+        return 1.0 + dt * b - 2.0 * c1, c1
+    if isinstance(kind, Nsfd):
+        phi = phi_nsfd(dt, b)
         c1 = phi * a / psi2_nsfd(dx, b / a) if a > 0.0 else 0.0
-    elif isinstance(kind, SpectralPhys):
-        phi = phi_spectral(kind.dt, a, b, kind.k)
+        return math.exp(b * dt) - 2.0 * c1, c1
+    if isinstance(kind, SpectralPhys):
+        k = kind.k
+        phi = phi_spectral(dt, a, b, k)
         c1 = phi * a / psi2_spectral(dx, a, b, kind.s) if a > 0.0 else 0.0
-    else:
-        raise TypeError(f"unknown explicit solver kind {kind!r}")
-    return 1.0 + phi * b - 2.0 * c1, c1
+        g = b - a * k * k  # -inf where a k^2 overflows, and phi is then 0
+        c0 = math.exp(g * dt) + phi * a * k * k if g > -math.inf else 1.0
+        return c0 - 2.0 * c1, c1
+    raise TypeError(f"unknown explicit solver kind {kind!r}")
 
 
-# Values per finiteness check in ``_march``: 64 rows at M = 64, one row from
-# M = 4096 on, so the boolean temporary stays small.
+# Values per finiteness check in ``_march``, and per block of frames in
+# ``evolve_modal``: 64 rows at M = 64, one row from M = 4096 on, so the
+# boolean and spectral temporaries stay small.
 _CHECK_POINTS = 4096
 
 
@@ -245,7 +260,15 @@ def step(problem: PDEProblem, grid: Grid1D,
          kind: EulerStd | Nsfd | SpectralPhys, frame) -> np.ndarray:
     """One explicit step c0 * u[m] + c1 * (u[m+1] + u[m-1]) of any explicit
     kind, as a new array, with the kind's stencil weights
-    c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1."""
+    c1 = phi * a / psi2 and c0 = 1 + phi * b - 2 * c1.
+
+    Contract: at a = 0, nsfd's factor c0 is exp(b dt) within
+    (1 + |b dt|) * eps (eps = 2**-52) of exp of the exact product b * dt,
+    relative while that is a normal double and absolute at the smallest
+    normal double below it, for every b dt <= 709, down through the
+    subnormal range; the bound grows with |b dt| because forming b * dt
+    rounds it.  The test suite sweeps it against an mpmath oracle.
+    """
     u = np.asarray(frame, dtype=float)
     if u.shape != (grid.m_points,):
         raise ValueError(f"frame shape {u.shape} does not match grid")
@@ -301,27 +324,38 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
 
     Frame n is irfft(C0 * exp((b - a*k^2) * n*dt)) with C0 = rfft(u0): each
     Fourier mode carries its exact growth factor, so the result is exact in
-    dt for band-limited initial data, and real by construction.  All frames
-    come from one batched inverse transform, which peaks at about twice the
-    memory of the frames array (the complex spectra plus the frames).
+    dt for band-limited initial data, and real by construction.  The frames
+    are formed in blocks of rows of about 4096 values in all (at least one
+    row), each block's inverse transform written into the frames array, so
+    the run holds little more than that array.
 
-    Growth past the double range is a result, as in ``evolve``: the
-    trajectory ends at the last finite frame, and keeps the uncut frames'
-    bits.
+    Growth past the double range is a result, as in ``evolve``: no block is
+    formed after the first one that holds a non-finite row, and the
+    trajectory ends at the last finite frame, as a copy of the finite rows
+    only.  The frames kept have the bits of one batched transform.
     """
     if not isinstance(grid.boundary, Periodic):
         raise ValueError("modal evolution requires a periodic grid")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
     problem.check_grid(grid)
+    m = grid.m_points
     growth = problem.b - problem.a * grid_wavenumbers(grid) ** 2
-    times = np.arange(n_steps + 1) * dt
     spectrum = np.fft.rfft(problem.initial_condition)
-    with np.errstate(over="ignore", invalid="ignore"):
-        frames = np.fft.irfft(spectrum * np.exp(np.outer(times, growth)),
-                              n=grid.m_points)
-    frames[0] = problem.initial_condition
-    return FieldTrajectory(grid=grid, dt=dt, frames=_finite_prefix(frames, 1))
+    frames = np.empty((n_steps + 1, m))
+    block = max(1, _CHECK_POINTS // m)
+    for start in range(0, n_steps + 1, block):
+        stop = min(start + block, n_steps + 1)
+        times = np.arange(start, stop) * dt
+        with np.errstate(over="ignore", invalid="ignore"):
+            frames[start:stop] = np.fft.irfft(
+                spectrum * np.exp(np.outer(times, growth)), n=m)
+        if start == 0:
+            frames[0] = problem.initial_condition
+        kept = _finite_prefix(frames[:stop], max(start, 1))
+        if len(kept) < stop:
+            return FieldTrajectory(grid=grid, dt=dt, frames=kept)
+    return FieldTrajectory(grid=grid, dt=dt, frames=frames)
 
 
 def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,

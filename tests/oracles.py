@@ -190,6 +190,13 @@ def phi_nsfd_oracle(dt: float, b: float) -> float:
         return float(mpmath.expm1(bm * mpmath.mpf(dt)) / bm)
 
 
+def exp_product_oracle(dt: float, b: float) -> float:
+    """exp(b dt), nsfd's stencil weight c0 at a = 0, in 40-digit mpmath at
+    the exact product of the doubles passed in, rounded to double."""
+    with mpmath.workdps(40):
+        return float(mpmath.exp(mpmath.mpf(b) * mpmath.mpf(dt)))
+
+
 def psi2_nsfd_oracle(dx: float, r: float) -> float:
     """The squared space denominator (4/r) sin(sqrt(r) dx/2)**2, its sinh
     continuation for r < 0 and dx**2 at r = 0, in 40-digit mpmath at the

@@ -20,6 +20,7 @@ from spectralfd.harness import cli
 from spectralfd.harness.cli import _build_parser, main
 from spectralfd.harness.config import (
     ConfigError,
+    ExperimentConfig,
     build_config,
     config_echo,
     parse_config,
@@ -578,23 +579,45 @@ class TestExperimentSemantics:
         assert column(report, "k") == expected * 4
 
     def test_pde_compare_holds_one_frames_array(self):
-        # three explicit marches of 2001 frames at M = 64: the run reads
-        # only each one's last frame, so it drops each trajectory before it
-        # marches the next
+        # three marches of 2001 frames at M = 64: the run reads only each
+        # one's last frame, so it drops each trajectory before it marches
+        # the next, and spectral_modal forms its frames in blocks of rows
+        # rather than through one batch of complex spectra
         dx, n_steps = 2.0 * math.pi / 64, 2000
         dt = 0.05 * dx * dx
-        config = build_config("pde_compare", {
-            "a": "1.0", "b": "-0.25", "ic_mode": "1", "m_points": "64",
-            "t_final": repr(n_steps * dt), "dt": repr(dt),
-            "methods": "euler,nsfd,spectral_phys"})
-        tracemalloc.start()
-        try:
-            report = run_experiment(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert [row[5] for row in report.rows] == [False] * 3
-        assert peak < 1.5 * (n_steps + 1) * 64 * 8
+        for methods in ("euler,nsfd,spectral_phys",
+                        "euler,nsfd,spectral_modal"):
+            config = build_config("pde_compare", {
+                "a": "1.0", "b": "-0.25", "ic_mode": "1", "m_points": "64",
+                "t_final": repr(n_steps * dt), "dt": repr(dt),
+                "methods": methods})
+            tracemalloc.start()
+            try:
+                report = run_experiment(config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert [row[5] for row in report.rows] == [False] * 3
+            assert peak < 1.5 * (n_steps + 1) * 64 * 8, methods
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("pde_compare", {"dt": (0.3,)},
+         "dt: step 0.3 does not divide t_final=10.0"),
+        ("pde_stability", {"b": 1000.0, "dt": (1.0,),
+                           "methods": ("spectral_modal",)},
+         "dt: spectral_modal's amplification factor at dt = 1.0 fails: "
+         "overflow encountered in exp"),
+    ])
+    def test_pde_run_aborts_on_a_fault_in_its_plan(self, name, change,
+                                                   message):
+        # each pde runner forms its plan as validation does, with faults
+        # raised: values that skipped validation end the run naming the
+        # fault's key and message
+        values = {**parse_config(GOLDEN_CONFIGS[name]).as_dict(), **change}
+        config = ExperimentConfig(name, tuple(sorted(values.items())))
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(config)
+        assert str(raised.value) == message
 
     def test_laplace_bvp_orders(self):
         report = run_experiment(parse_config(GOLDEN_CONFIGS["laplace_bvp"]))
@@ -719,6 +742,20 @@ class TestCli:
         assert len(spectral) == 3
         assert ([{**r, "method": ""} for r in spectral]
                 == [{**r, "method": ""} for r in nsfd])
+
+    def test_diffusionless_nsfd_stays_exact(self, tmp_path):
+        # at a = 0 nsfd is the exact reaction step; its weight, formed as
+        # 1 + phi b = 1 + expm1(b dt), cancelled to errors of 8.0e-8 and
+        # 1.0 here, the second not flagged diverged
+        assert main(["pde", "--a", "0", "--b", "-40", "--ic-mode", "1",
+                     "--t-final", "2", "--dt", "0.5,1.0", "--methods",
+                     "nsfd,spectral_modal", "--out", str(tmp_path)]) == 0
+        rows = csv_rows(tmp_path / "pde_compare.csv")
+        assert [row["method"] for row in rows] == ["nsfd"] * 2 + [
+            "spectral_modal"] * 2
+        for row in rows:
+            assert row["diverged"] == "false"
+            assert float(row["max_nodal_error"]) <= 1e-15
 
     def test_spatially_constant_mode(self, tmp_path):
         # ic_mode = 0 starts from u = 1, so the exact solution is exp(b t):

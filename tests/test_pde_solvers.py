@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from spectralfd.denominators import (
     psi2_nsfd,
     psi2_spectral,
 )
+from spectralfd.ode_schemes import SchemeFamily, decay_solve
 from spectralfd.pde_solvers import (
     _CHECK_POINTS,
     Dirichlet,
@@ -33,6 +35,7 @@ from spectralfd.pde_solvers import (
 from oracles import (
     bisect,
     dense_step_matrix,
+    exp_product_oracle,
     fourier_symbol_frames,
     modal_frames,
     naive_dft,
@@ -183,6 +186,37 @@ class TestStepNsfd:
                                    rtol=1e-14)
 
 
+class TestDiffusionlessNsfdFactor:
+    """At a = 0 nsfd is the exact reaction step: ``step``'s contract puts
+    its factor c0 within (1 + |b dt|) eps of exp(b dt), relative while it is
+    a normal double, and absolute at the smallest normal below that."""
+
+    def test_factor_matches_the_exponential_oracle(self):
+        eps, tiny = 2.0**-52, sys.float_info.min
+        grid = Grid1D(x0=0.0, dx=1.0, m_points=3, boundary=Periodic())
+        rng = np.random.default_rng(43)
+        # b dt from 709 down past the subnormal range, both sides of phi's
+        # Taylor switch at |b dt| = 1e-6, and the cancelling range below -1
+        cases = [(1.0, 709.0), (1.0, -1e-7), (1.0, 1e-7), (1.0, -37.0),
+                 (1.0, -708.0), (1.0, -745.0), (0.5, -1490.0)]
+        for w in np.concatenate([rng.uniform(-746.0, 709.0, 1500),
+                                 -(10.0 ** rng.uniform(-9, 1, 500))]):
+            dt = 10.0 ** rng.uniform(-6, 3)
+            cases.append((dt, w / dt))
+        regimes = set()
+        for dt, b in cases:
+            w = abs(b * dt)
+            if b * dt > 709.0:
+                continue
+            problem = PDEProblem(a=0.0, b=b, initial_condition=np.ones(3))
+            factor = step(problem, grid, Nsfd(dt=dt), np.ones(3))
+            ref = exp_product_oracle(dt, b)
+            regimes.add(ref >= tiny)
+            bound = (1.0 + w) * eps * max(ref, tiny)
+            assert np.all(np.abs(factor - ref) <= bound), (dt, b)
+        assert regimes == {True, False}
+
+
 class TestStepSpectral:
     def test_reduces_to_nsfd_at_zero_modes(self):
         rng = np.random.RandomState(7)
@@ -200,6 +234,17 @@ class TestStepSpectral:
         stepped = step(problem, grid, SpectralPhys(dt=0.5, k=1.0, s=2.0),
                        np.zeros(16))
         assert np.all(stepped == 0.0)
+
+    def test_mode_whose_rate_overflows_keeps_the_frame(self):
+        # a k^2 = inf: phi = expm1(-inf)/(-inf) = 0, so the weights are
+        # (1 + phi b, 0) = (1, 0), not the exp(g dt) + phi a k^2 = 0 that
+        # the cancellation-free form would give
+        grid = periodic_grid(m=16)
+        frame = np.cos(grid.points)
+        problem = PDEProblem(a=1.0, b=0.5, initial_condition=frame)
+        stepped = step(problem, grid, SpectralPhys(dt=0.1, k=1e200, s=2.0),
+                       frame)
+        assert np.array_equal(stepped, frame)
 
     def test_matched_mode_exact_amplification(self):
         # choose s so the discrete spatial eigenvalue equals k0^2 exactly
@@ -320,6 +365,43 @@ class TestEvolveModal:
         assert not np.isfinite(uncut[kept]).all()
         assert traj.frames.base is None  # a copy: the tail is freed
 
+    @pytest.mark.parametrize("m, n_steps", [(64, 2000), (63, 500),
+                                            (1024, 300), (4097, 3)])
+    def test_blocks_match_one_batched_transform(self, m, n_steps):
+        # the frames are formed in blocks of rows; every row has the bits
+        # of one transform of the whole (n_steps + 1, m) batch
+        grid = periodic_grid(m=m)
+        x = grid.points
+        ic = np.sin(x) + 0.3 * np.cos(3.0 * x)
+        problem = PDEProblem(a=1.0, b=-0.25, initial_condition=ic)
+        dt = 0.01
+        traj = evolve_modal(problem, grid, dt, n_steps)
+        growth = -0.25 - grid_wavenumbers(grid) ** 2
+        times = np.arange(n_steps + 1) * dt
+        batch = np.fft.irfft(np.fft.rfft(ic) * np.exp(np.outer(times, growth)),
+                             n=m)
+        batch[0] = ic
+        assert traj.frames.tobytes() == batch.tobytes()
+
+    def test_no_block_after_the_blowup(self, monkeypatch):
+        # exp(5 t) leaves the double range from t = 142 (frame 284), which
+        # lies in the fifth block of 64 rows: no later block of the 1001
+        # frames (16 blocks in all) is transformed
+        grid = periodic_grid(m=64)
+        problem = PDEProblem(a=1.0, b=5.0,
+                             initial_condition=np.sin(10.0 * grid.points))
+        calls = []
+        irfft = np.fft.irfft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        traj = evolve_modal(problem, grid, 0.5, 1000)
+        assert len(traj.frames) == 284
+        assert len(calls) == 5
+
     def test_single_mode_exact_at_large_grid(self):
         m = 16384
         grid = periodic_grid(m=m)
@@ -329,6 +411,29 @@ class TestEvolveModal:
         exact = math.exp((0.5 - 0.9) * 2.1) * np.sin(3.0 * x)
         err = np.max(np.abs(traj.frames[-1] - exact)) / np.max(np.abs(exact))
         assert err <= 1e-10
+
+
+class TestDecayCrossCheck:
+    """At a = 0 each explicit pde kind is a decay scheme at rate -b, at
+    every grid point: the two halves of the thesis meet.  On a 3-point
+    periodic grid EulerStd marches forward Euler's states and Nsfd the
+    exact exp(-rate h) scheme's, bit for bit."""
+
+    @pytest.mark.parametrize("b, h", [(-0.5, 0.1), (-3.0, 0.25),
+                                      (-40.0, 0.5), (-1e-3, 2.0),
+                                      (-1e3, 1e-3), (-7.3, 0.27)])
+    def test_states_bit_equal(self, b, h):
+        grid = Grid1D(x0=0.0, dx=1.0, m_points=3, boundary=Periodic())
+        u0 = np.array([1.0, -0.3, 2.5])
+        problem = PDEProblem(a=0.0, b=b, initial_condition=u0)
+        n_steps = 60
+        pairs = [(EulerStd(dt=h), SchemeFamily.FORWARD_EULER),
+                 (Nsfd(dt=h), SchemeFamily.SPECTRAL_EXACT)]
+        for kind, family in pairs:
+            frames = evolve(problem, grid, kind, n_steps).frames
+            for j, x0 in enumerate(u0):
+                states = decay_solve(family, -b, h, x0, n_steps).states
+                assert frames[:, j].tobytes() == states.tobytes(), kind
 
 
 class TestEvolve:
