@@ -283,8 +283,9 @@ def _plan(p: dict, bad: Callable[[str, str], None]) -> Optional[_PdePlan]:
     from ``_plan(p, _abort)``.  It forms pde_compare's step counts, sine,
     amplitude and frames bound, then, with numpy's errors raised but
     underflow, the grid, its data, and the wavenumbers, growth rates,
-    (k, s), psi2, weights (c0, c1) and amplification factors the run forms;
-    README *Config format* gives their order and the key each fault names.
+    (k, s), psi2, weights (c0, c1) (phi alone where psi2 fails) and
+    amplification factors the run forms; README *Config format* gives
+    their order and the key each fault names.
     """
     faults = []
 
@@ -346,13 +347,16 @@ def _plan(p: dict, bad: Callable[[str, str], None]) -> Optional[_PdePlan]:
             return None
         problem, grid, kinds, ks = built
         for method in methods:
-            if method in _PSI2_KEYS and _formed(
-                    fault, _PSI2_KEYS[method], f"{method}'s diffusion weight "
-                    f"a/psi2 with dx = {dx!r} fails", pde._weights,
-                    kinds[method](_PSI2_PROBE_DT), problem, grid) is None:
-                continue  # its weights would fail with it at every dt
+            psi2_fails = method in _PSI2_KEYS and _formed(
+                fault, _PSI2_KEYS[method], f"{method}'s diffusion weight "
+                f"a/psi2 with dx = {dx!r} fails", pde._weights,
+                kinds[method](_PSI2_PROBE_DT), problem, grid) is None
             for dt in p["dt"]:
                 kind = kinds[method](dt)
+                if psi2_fails:  # its weights would fail with it: check phi
+                    _formed(fault, "dt", f"{method}'s time denominator phi "
+                            f"at dt = {dt!r} fails", pde._phi, kind, problem)
+                    continue
                 if method != "spectral_modal":
                     _formed(fault, "dt", f"{method}'s stencil weights (c0, "
                             f"c1) at dt = {dt!r} fail", pde._weights, kind,

@@ -19,23 +19,18 @@ only in the denominator pair (phi, psi2) the weights come from:
 
 With a = 0 the weight c1 is 0 for every kind, and psi2 is never formed.
 ``evolve`` and ``step`` share one march, which fills the rows of a
-preallocated frames array in place (``step`` on a two-row buffer) and checks
-them for blow-up once per block of rows rather than once per step.  Once per
-run it makes the neighbour views, two 0-d weight operands and the
-periodic/Dirichlet flag; per row it resolves the weights (c0, c1) and runs
-four whole-row ufuncs.  The weights are resolved per row, although they are
-constant, while the benchmark pins ``denominators.calls_per_step`` at the
-denominator calls of one row.  ``amplification_factor``
-reports the stencil's symbol c0 + 2 c1 cos(k dx), the per-step multiplier a
-kind applies to each spatial mode and the basic stability diagnostic.
+preallocated frames array in place (``step`` on a two-row buffer); per row
+it resolves the weights (c0, c1), although they are constant, while the
+benchmark pins ``denominators.calls_per_step`` at the denominator calls of
+one row.  ``amplification_factor`` reports the stencil's symbol
+c0 + 2 c1 cos(k dx), the per-step multiplier a kind applies to each
+spatial mode and the basic stability diagnostic.
 
 ``evolve_modal`` instead multiplies every Fourier mode of a periodic frame
 by its exact growth factor exp((b - a*k^2)*t), which makes the evolution
 exact for any step size; the transform is numpy's real FFT, so the frames
-are real by construction and the grid size is not capped.  It forms the
-frames in blocks of rows of the same size as the march's checks, so it
-holds little more than its frames array, and stops at the first block
-that holds a non-finite row.
+are real by construction and the grid size is not capped.  Both marches
+fill their frames through ``_in_blocks``, which makes blow-up a result.
 ``laplace_mode_solve`` is the transform-space boundary-value companion: one
 Laplace mode of the solution with homogeneous Dirichlet walls, solved as a
 division in sine space (a DST-I done with the same real FFT).
@@ -44,6 +39,7 @@ division in sine space (a DST-I done with the same real FFT).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
@@ -176,6 +172,17 @@ class FieldTrajectory:
         return np.arange(len(self.frames)) * self.dt
 
 
+def _phi(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem) -> float:
+    """The time denominator phi of an explicit solver kind."""
+    if isinstance(kind, EulerStd):
+        return kind.dt
+    if isinstance(kind, Nsfd):
+        return phi_nsfd(kind.dt, problem.b)
+    if isinstance(kind, SpectralPhys):
+        return phi_spectral(kind.dt, problem.a, problem.b, kind.k)
+    raise TypeError(f"unknown explicit solver kind {kind!r}")
+
+
 def _weights(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem,
              grid: Grid1D) -> tuple[float, float]:
     """The stencil weights (c0, c1) of an explicit solver kind:
@@ -189,55 +196,66 @@ def _weights(kind: EulerStd | Nsfd | SpectralPhys, problem: PDEProblem,
     undefined there.
     """
     a, b, dt, dx = problem.a, problem.b, kind.dt, grid.dx
+    phi = _phi(kind, problem)
     if isinstance(kind, EulerStd):
-        c1 = dt * a / dx**2 if a > 0.0 else 0.0
-        return 1.0 + dt * b - 2.0 * c1, c1
+        c1 = phi * a / dx**2 if a > 0.0 else 0.0
+        return 1.0 + phi * b - 2.0 * c1, c1
     if isinstance(kind, Nsfd):
-        phi = phi_nsfd(dt, b)
         c1 = phi * a / psi2_nsfd(dx, b / a) if a > 0.0 else 0.0
         return math.exp(b * dt) - 2.0 * c1, c1
-    if isinstance(kind, SpectralPhys):
-        k = kind.k
-        phi = phi_spectral(dt, a, b, k)
-        c1 = phi * a / psi2_spectral(dx, a, b, kind.s) if a > 0.0 else 0.0
-        g = b - a * k * k  # -inf where a k^2 overflows, and phi is then 0
-        c0 = math.exp(g * dt) + phi * a * k * k if g > -math.inf else 1.0
-        return c0 - 2.0 * c1, c1
-    raise TypeError(f"unknown explicit solver kind {kind!r}")
+    k = kind.k
+    c1 = phi * a / psi2_spectral(dx, a, b, kind.s) if a > 0.0 else 0.0
+    g = b - a * k * k  # -inf where a k^2 overflows, and phi is then 0
+    c0 = math.exp(g * dt) + phi * a * k * k if g > -math.inf else 1.0
+    return c0 - 2.0 * c1, c1
 
 
-# Values per finiteness check in ``_march``, and per block of frames in
-# ``evolve_modal``: 64 rows at M = 64, one row from M = 4096 on, so the
-# boolean and spectral temporaries stay small.
+# Values per block of rows in ``_in_blocks``: 64 rows at M = 64, one row
+# from M = 4096 on, so the boolean and spectral temporaries stay small.
 _CHECK_POINTS = 4096
 
 
-def _finite_prefix(frames: np.ndarray, start: int) -> np.ndarray:
-    """``frames`` before its first non-finite row at or after ``start``; a
-    cut prefix is a copy, which frees the rows past it."""
-    finite = np.isfinite(frames[start:]).all(axis=1)
-    if finite.all():
-        return frames
-    return frames[: start + int(np.argmin(finite))].copy()
+def _in_blocks(frames: np.ndarray,
+               write: Callable[[int, int], None]) -> np.ndarray:
+    """Fill rows 1.. of ``frames``, whose row 0 is set, by calling
+    ``write(start, stop)`` for rows start..stop - 1, in blocks of
+    ``max(1, _CHECK_POINTS // M)`` rows, with numpy's overflow and invalid
+    warnings off.
+
+    Blow-up is a result, not an exception: each block is checked once, no
+    block is written after the first one that holds a non-finite row, and
+    the result is ``frames``, or a copy of its rows before that row, which
+    frees the rest.  So a diverging run may compute up to one block of rows
+    past the blow-up, which it drops.
+    """
+    n_rows = len(frames)
+    block = max(1, _CHECK_POINTS // frames.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(1, n_rows, block):
+            stop = min(start + block, n_rows)
+            write(start, stop)
+            finite = np.isfinite(frames[start:stop]).all(axis=1)
+            if not finite.all():
+                return frames[:start + int(np.argmin(finite))].copy()
+    return frames
 
 
 def _march(problem: PDEProblem, grid: Grid1D,
            kind: EulerStd | Nsfd | SpectralPhys,
            frames: np.ndarray) -> np.ndarray:
     """Write row n + 1 of ``frames`` as c0 * u[m] + c1 * (u[m+1] + u[m-1])
-    of row n, for every row after row 0, which must be set.  Periodic edges
-    wrap; Dirichlet edges get the wall values.  Returns ``frames``, or its
-    finite prefix (a copy) once a block of rows holds a non-finite value."""
-    n_steps, m = len(frames) - 1, grid.m_points
+    of row n, for every row after row 0, which must be set, and return
+    ``_in_blocks``'s result.  Periodic edges wrap; Dirichlet edges get the
+    wall values."""
     c0, c1 = np.empty(()), np.empty(())
-    work = np.zeros(m)  # Dirichlet rows never write its two edge entries
+    work = np.zeros(grid.m_points)  # Dirichlet rows never write its edges
     inner = work[1:-1]
     walls = (None if isinstance(grid.boundary, Periodic)
              else (grid.boundary.left_value, grid.boundary.right_value))
     rows = zip(frames, frames[1:], frames[:, 2:], frames[:, :-2])
-    block = max(1, _CHECK_POINTS // m)
-    for start in range(0, n_steps, block):
-        for u, out, right, left in islice(rows, block):
+
+    def write(start: int, stop: int) -> None:
+        for u, out, right, left in islice(rows, stop - start):
             c0[()], c1[()] = weights = _weights(kind, problem, grid)
             np.multiply(u, c0, out)
             if weights[1] != 0.0:
@@ -249,11 +267,8 @@ def _march(problem: PDEProblem, grid: Grid1D,
                 np.add(out, work, out)
             if walls is not None:
                 out[0], out[-1] = walls
-        stop = min(start + block, n_steps)
-        kept = _finite_prefix(frames[:stop + 1], start + 1)
-        if len(kept) < stop + 1:
-            return kept
-    return frames
+
+    return _in_blocks(frames, write)
 
 
 def step(problem: PDEProblem, grid: Grid1D,
@@ -267,7 +282,9 @@ def step(problem: PDEProblem, grid: Grid1D,
     relative while that is a normal double and absolute at the smallest
     normal double below it, for every b dt <= 709, down through the
     subnormal range; the bound grows with |b dt| because forming b * dt
-    rounds it.  The test suite sweeps it against an mpmath oracle.
+    rounds it.  The test suite sweeps it against an mpmath oracle.  A step
+    past the double range returns its inf or nan values without a warning,
+    as ``evolve`` does.
     """
     u = np.asarray(frame, dtype=float)
     if u.shape != (grid.m_points,):
@@ -285,17 +302,9 @@ def evolve(problem: PDEProblem, grid: Grid1D,
 
     Explicit kinds march in place through one ``(n_steps + 1, M)`` array,
     with the march ``step`` runs on a two-row buffer, so the frames equal
-    repeated ``step`` calls bit for bit.  Once per run the march makes the
-    neighbour views, two 0-d weight operands and the boundary flag; per row
-    it resolves the weights (c0, c1), which stay per row while the
-    benchmark pins ``denominators.calls_per_step``, and issues four ufuncs
-    with positional outputs.  Blow-up is a result, not an exception:
-    finiteness is checked once per block of rows of about 4096 values in
-    all (at least one row), and the trajectory ends at the last frame
-    before the first non-finite one, as a copy of the finite rows only.  A
-    diverging run may compute up to one block of frames past the blow-up,
-    which it drops.  ``SpectralModal`` runs through ``evolve_modal``, which
-    ends at its last finite frame too.
+    repeated ``step`` calls bit for bit.  ``SpectralModal`` runs through
+    ``evolve_modal``.  A run that leaves the double range ends at its last
+    finite frame (see ``_in_blocks``).
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps!r}")
@@ -307,9 +316,8 @@ def evolve(problem: PDEProblem, grid: Grid1D,
     if isinstance(grid.boundary, Dirichlet):
         frames[0, 0] = grid.boundary.left_value
         frames[0, -1] = grid.boundary.right_value
-    with np.errstate(over="ignore", invalid="ignore"):
-        frames = _march(problem, grid, kind, frames)
-    return FieldTrajectory(grid=grid, dt=kind.dt, frames=frames)
+    return FieldTrajectory(grid=grid, dt=kind.dt,
+                           frames=_march(problem, grid, kind, frames))
 
 
 def grid_wavenumbers(grid: Grid1D) -> np.ndarray:
@@ -324,15 +332,11 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
 
     Frame n is irfft(C0 * exp((b - a*k^2) * n*dt)) with C0 = rfft(u0): each
     Fourier mode carries its exact growth factor, so the result is exact in
-    dt for band-limited initial data, and real by construction.  The frames
-    are formed in blocks of rows of about 4096 values in all (at least one
-    row), each block's inverse transform written into the frames array, so
-    the run holds little more than that array.
-
-    Growth past the double range is a result, as in ``evolve``: no block is
-    formed after the first one that holds a non-finite row, and the
-    trajectory ends at the last finite frame, as a copy of the finite rows
-    only.  The frames kept have the bits of one batched transform.
+    dt for band-limited initial data, and real by construction.  Each
+    block of ``_in_blocks`` is one inverse transform written into the frames
+    array, so the run holds little more than that array, and a run that
+    leaves the double range ends at its last finite frame.  The frames kept
+    have the bits of one batched transform.
     """
     if not isinstance(grid.boundary, Periodic):
         raise ValueError("modal evolution requires a periodic grid")
@@ -343,19 +347,14 @@ def evolve_modal(problem: PDEProblem, grid: Grid1D, dt: float,
     growth = problem.b - problem.a * grid_wavenumbers(grid) ** 2
     spectrum = np.fft.rfft(problem.initial_condition)
     frames = np.empty((n_steps + 1, m))
-    block = max(1, _CHECK_POINTS // m)
-    for start in range(0, n_steps + 1, block):
-        stop = min(start + block, n_steps + 1)
+    frames[0] = problem.initial_condition
+
+    def write(start: int, stop: int) -> None:
         times = np.arange(start, stop) * dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            frames[start:stop] = np.fft.irfft(
-                spectrum * np.exp(np.outer(times, growth)), n=m)
-        if start == 0:
-            frames[0] = problem.initial_condition
-        kept = _finite_prefix(frames[:stop], max(start, 1))
-        if len(kept) < stop:
-            return FieldTrajectory(grid=grid, dt=dt, frames=kept)
-    return FieldTrajectory(grid=grid, dt=dt, frames=frames)
+        frames[start:stop] = np.fft.irfft(
+            spectrum * np.exp(np.outer(times, growth)), n=m)
+
+    return FieldTrajectory(grid=grid, dt=dt, frames=_in_blocks(frames, write))
 
 
 def laplace_mode_solve(problem: PDEProblem, grid: Grid1D,

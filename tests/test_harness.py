@@ -459,6 +459,12 @@ class TestReportEmission:
             ExperimentReport(experiment="x", columns=("a", "a"), rows=[],
                              config_lines=(), tool_version="0")
 
+    def test_row_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="rows must match the column"):
+            ExperimentReport(experiment="x", columns=("a", "b"),
+                             rows=[(1, 2), (3,)], config_lines=(),
+                             tool_version="0")
+
 
 class TestExperimentSemantics:
     def test_decay_order_exact_rows(self):
@@ -1292,6 +1298,12 @@ class TestCli:
         # dt = 2, and nsfd's psi2 reaches the sine zero
         (["pde", "--b", "1e308", "--dt", "1,2", "--t-final", "2",
           "--methods", "euler,nsfd"], ["t_final", "dt", "a"]),
+        # nsfd's psi2 reaches the sine zero, and its phi at dt = 0.01 is
+        # past the range of exp: both are named
+        (["pde", "--b", "1e300", "--methods", "nsfd"],
+         ["t_final", "a", "dt"]),
+        (["pde", "--study", "stability", "--b", "1e300", "--methods", "nsfd"],
+         ["a", "dt"]),
     ])
     def test_each_rejected_key_is_reported_once(self, argv, keys, tmp_path,
                                                 capsys):

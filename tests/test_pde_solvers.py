@@ -470,6 +470,17 @@ class TestEvolve:
         with pytest.raises(ValueError, match="does not match grid"):
             step(problem, grid, EulerStd(dt=0.1), np.zeros(15))
 
+    def test_step_past_the_double_range_is_silent(self):
+        # the neighbour sum 2e308 overflows: the step returns inf, as
+        # evolve's frames would, and warns of nothing
+        grid = periodic_grid(m=16)
+        frame = np.full(16, 1e308)
+        problem = PDEProblem(a=1.0, b=0.0, initial_condition=frame)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = step(problem, grid, EulerStd(dt=0.01), frame)
+        assert np.all(np.isinf(new))
+
     def test_requires_a_step(self):
         grid = periodic_grid(m=16)
         problem = PDEProblem(a=1.0, b=0.0, initial_condition=np.zeros(16))
